@@ -1,0 +1,5 @@
+"""`python -m multiderange`: the command line."""
+from .cli import run
+
+if __name__ == "__main__":
+    run()

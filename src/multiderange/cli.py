@@ -150,15 +150,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fail instead of recomputing directly when guessing fails")
     p.add_argument("--recurrence-out", type=Path, metavar="PATH",
                    help="write the guessed recurrence here instead of stderr")
-    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
-    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    _add_search_caps(p)
     _add_format(p)
 
     p = sub.add_parser("guess", help="fit a recurrence to a file of terms")
     p.add_argument("--terms-file", type=Path, required=True,
                    help="plain (one integer per line) or b-file, auto-detected")
-    p.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER)
-    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    _add_search_caps(p)
 
     p = sub.add_parser("oeis-check", help="compare local terms against OEIS data")
     p.add_argument("--id", required=True, metavar="A######")
@@ -176,6 +174,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["plain", "bfile", "structured"], default="plain")
+
+
+def _add_search_caps(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-order", type=_int_at_least(1), default=DEFAULT_MAX_ORDER)
+    p.add_argument("--max-degree", type=_int_at_least(0), default=DEFAULT_MAX_DEGREE)
+
+
+def _int_at_least(low: int):
+    """argparse type: an int >= low, so a bad value is a usage error."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -229,7 +245,7 @@ def _cmd_prob(parser, args) -> int:
             "decimal": decimal,
         })
     else:
-        sys.stdout.write(f"{probability} ≈ {decimal}\n")
+        sys.stdout.write(f"{_fraction_text(probability)} ≈ {decimal}\n")
     return EXIT_OK
 
 
@@ -260,7 +276,7 @@ def _cmd_table(parser, args) -> int:
             "fixed": args.fixed,
             "value": args.value,
             "offset": 0,
-            "terms": [str(t) for t in produced.terms],
+            "terms": [to_decimal(t) for t in produced.terms],
             "recurrence": json.loads(recurrence_to_json(recurrence)) if recurrence else None,
         }
         _print_json(document)

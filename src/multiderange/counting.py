@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial, prod
 from typing import Iterable
 
 from . import polys
 from .errors import InstanceTooLarge, InternalInconsistency
-from .laguerre import exp_moment, laguerre
+from .laguerre import integer_moment, scaled_laguerre
 
 # Default safety bounds for the oracle-grade methods.
 BRUTE_FORCE_LIMIT = 10
@@ -96,40 +96,53 @@ def multiset_derangement(m: Multiset | Iterable[int]) -> DerangementCount:
     """Exact derangement count via the signed Laguerre moment.
 
     The count equals (-1)^total times the exponential moment of the product
-    of L_{a_i}; the moment is a rational whose integrality and sign are
+    of L_{a_i}.  It is evaluated on integers: the moment of the product of
+    the a_i! * L_{a_i}, divided once by the product of the a_i!.  The
+    division must be exact and the signed result nonnegative; both are
     checked before returning.
     """
     ms = as_multiset(m)
     ordered = sorted(ms.multiplicities, reverse=True)
-    moment = exp_moment(polys.product([laguerre(a) for a in ordered]))
-    return DerangementCount(_signed_count(moment, ms.total), ms)
+    moment = integer_moment(polys.int_product([scaled_laguerre(a) for a in ordered]))
+    scale = prod(factorial(a) for a in ordered)
+    return DerangementCount(_signed_count(moment, ms.total, scale), ms)
 
 
 def uniform_count(n: int, k: int) -> int:
     """Derangement count of the multiset with k repeated n times.
 
-    Evaluated as the signed moment of laguerre(k) ** n; n = 0 or k = 0
-    gives 1 (the empty word is vacuously deranged).
+    Evaluated as the signed moment of (k! * L_k) ** n divided by (k!)^n;
+    n = 0 or k = 0 gives 1 (the empty word is vacuously deranged).
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    moment = exp_moment(polys.power(laguerre(k), n))
-    return _signed_count(moment, n * k)
+    moment = integer_moment(polys.int_power(scaled_laguerre(k), n))
+    return _signed_count(moment, n * k, factorial(k) ** n)
 
 
 def uniform_fixed_k_prefix(k: int, count: int) -> list[int]:
     """[F(0), ..., F(count-1)] where F(n) counts derangements of k^n copies.
 
-    Shares one running Laguerre product across the prefix instead of
-    re-raising the power from scratch for every n.
+    Shares one running product (k! * L_k)^n across the prefix.  Each step
+    multiplies it by the short factor k! * L_k as k + 1 shifted scalar
+    multiply-adds; no Kronecker packing is involved.
     """
+    short = scaled_laguerre(k)
+    scale_step = factorial(k)
     out = []
-    lk = laguerre(k)
-    running = polys.ONE
+    running = [1]
+    scale = 1
     for n in range(count):
         if n:
-            running = polys.mul(running, lk)
-        out.append(_signed_count(exp_moment(running), n * k))
+            width = len(running)
+            grown = [0] * (width + k)
+            for alpha, c in enumerate(short):
+                grown[alpha:alpha + width] = [
+                    g + c * r for g, r in zip(grown[alpha:alpha + width], running)
+                ]
+            running = grown
+            scale *= scale_step
+        out.append(_signed_count(integer_moment(running), n * k, scale))
     return out
 
 
@@ -138,13 +151,20 @@ def uniform_fixed_n_prefix(n: int, count: int) -> list[int]:
     return [uniform_count(n, k) for k in range(count)]
 
 
-def _signed_count(moment: Fraction, total: int) -> int:
+def _signed_count(moment: int | Fraction, total: int, scale: int = 1) -> int:
+    """(-1)^total * moment / scale, which must be a nonnegative integer.
+
+    A nonzero remainder or a negative result means the computation went
+    wrong.  The messages leave the numbers out: their decimal text can pass
+    the interpreter's int -> str digit limit.
+    """
     signed = -moment if total % 2 else moment
-    if signed.denominator != 1:
-        raise InternalInconsistency(f"moment is not an integer: {signed}")
-    if signed < 0:
-        raise InternalInconsistency(f"moment has the wrong sign: {signed}")
-    return int(signed)
+    quotient, remainder = divmod(signed, scale)
+    if remainder:
+        raise InternalInconsistency("moment is not divisible by its scale")
+    if quotient < 0:
+        raise InternalInconsistency("moment has the wrong sign")
+    return int(quotient)
 
 
 def brute_force_count(m: Multiset | Iterable[int], *, limit: int | None = None) -> int:

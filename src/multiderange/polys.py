@@ -1,16 +1,24 @@
-"""Dense univariate polynomial arithmetic with exact rational coefficients.
+"""Dense univariate polynomial arithmetic: an integer core and an exact
+rational layer on top of it.
 
-A polynomial is a tuple of Fractions; index m holds the coefficient of x^m.
-The zero polynomial is the empty tuple, and a nonzero polynomial never ends
-in a stored zero (normalized leading coefficient), so equal polynomials are
-equal tuples.
+An integer polynomial is a sequence of ints; index m holds the coefficient
+of x^m.  `int_mul`, `int_product` and `int_power` work on these, and they
+are what the counting path uses.
 
-Multiplication always runs over scaled integers: both operands are cleared
-of denominators, the integer coefficient lists are convolved, and the result
-is divided back out.  Small convolutions use the schoolbook loop; large ones
-pack each operand into a single big integer (Kronecker substitution) so the
-whole convolution becomes one big-integer product, which gmpy2 evaluates in
-softly linear time.  Both paths are exact and produce identical tuples.
+A rational polynomial is a tuple of Fractions, normalized so that the zero
+polynomial is the empty tuple and a nonzero one never ends in a stored zero;
+equal polynomials are equal tuples.  `mul`, `product` and `power` are thin
+wrappers over the integer core: they clear the operands' denominators once,
+multiply the integer coefficients, and divide the result back once.
+
+Small convolutions use the schoolbook loop; large ones pack each operand
+into a single big number (Kronecker substitution), so the whole convolution
+becomes one big-number product.  With gmpy2 the operands are packed into
+byte slots of an mpz and GMP multiplies them.  Without it they are packed
+into zero-padded base-10^w slots of a `Decimal`, and libmpdec multiplies
+them with its number-theoretic transform in softly linear time, where
+CPython's own int multiply would be Karatsuba.  Every path is exact and
+gives identical coefficients.
 
 Products of many factors are evaluated over a balanced tree: pairing factors
 of similar degree keeps intermediate degrees (and coefficient sizes) small,
@@ -19,8 +27,20 @@ which is what makes thousand-fold products of fixed-degree factors feasible.
 from __future__ import annotations
 
 import math
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    Inexact,
+    InvalidOperation,
+    Rounded,
+)
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+from .bigint import from_decimal, to_decimal
 
 try:
     from gmpy2 import mpz as _mpz
@@ -35,6 +55,17 @@ ONE: tuple[Fraction, ...] = (Fraction(1),)
 # Below this many coefficient pairs the schoolbook loop beats the packing
 # overhead of Kronecker substitution.
 _KRONECKER_CUTOFF = 1024
+
+# Exact integer arithmetic on Decimals: any rounding traps.  Decimal
+# operations that take no context argument (abs(), unary minus, ...) round
+# to the calling thread's context, so the decimal path uses only this
+# context's methods and the context-free copy_* methods.
+_EXACT = Context(
+    prec=MAX_PREC,
+    Emax=MAX_EMAX,
+    Emin=MIN_EMIN,
+    traps=[Inexact, Rounded, InvalidOperation],
+)
 
 
 def poly(coeffs: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
@@ -68,41 +99,21 @@ def add(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Exact convolution product."""
-    if not p or not q:
-        return ZERO
     pnums, pden = scaled_integers(p)
     qnums, qden = scaled_integers(q)
-    conv = _convolve(pnums, qnums)
-    den = pden * qden
-    return tuple(Fraction(c, den) for c in conv)
+    return _unscale(int_mul(pnums, qnums), pden * qden)
 
 
 def product(factors: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
     """Product of all factors over a balanced pairing tree; [] gives 1."""
-    items = [tuple(f) for f in factors]
-    if not items:
-        return ONE
-    while len(items) > 1:
-        paired = [mul(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            paired.append(items[-1])
-        items = paired
-    return items[0]
+    scaled = [scaled_integers(f) for f in factors]
+    return _unscale(int_product([nums for nums, _ in scaled]), math.prod(den for _, den in scaled))
 
 
 def power(p: Sequence[Fraction], e: int) -> tuple[Fraction, ...]:
     """p**e by repeated squaring; p**0 = 1."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = ONE
-    base = tuple(p)
-    while e:
-        if e & 1:
-            result = mul(result, base)
-        e >>= 1
-        if e:
-            base = mul(base, base)
-    return result
+    nums, den = scaled_integers(p)
+    return _unscale(int_power(nums, e), den**e)
 
 
 def scaled_integers(p: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -116,13 +127,52 @@ def scaled_integers(p: Sequence[Fraction]) -> tuple[list[int], int]:
     return [c.numerator * (den // c.denominator) for c in p], den
 
 
-def _convolve(a: list[int], b: list[int]) -> list[int]:
+def _unscale(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(c, den) for c in nums)
+
+
+def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Exact convolution product of integer polynomials."""
+    if not a or not b:
+        return []
+    return _convolve(a, b)
+
+
+def int_product(factors: Sequence[Sequence[int]]) -> Sequence[int]:
+    """Product of integer polynomials over a balanced pairing tree; [] gives [1]."""
+    items = list(factors)
+    if not items:
+        return [1]
+    while len(items) > 1:
+        paired = [int_mul(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
+        if len(items) % 2:
+            paired.append(items[-1])
+        items = paired
+    return items[0]
+
+
+def int_power(p: Sequence[int], e: int) -> Sequence[int]:
+    """p**e for an integer polynomial, by repeated squaring; p**0 = [1]."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    result: Sequence[int] = [1]
+    base = p
+    while e:
+        if e & 1:
+            result = int_mul(result, base)
+        e >>= 1
+        if e:
+            base = int_mul(base, base)
+    return result
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if len(a) * len(b) < _KRONECKER_CUTOFF or min(len(a), len(b)) < 4:
         return _convolve_schoolbook(a, b)
     return _convolve_kronecker(a, b)
 
 
-def _convolve_schoolbook(a: list[int], b: list[int]) -> list[int]:
+def _convolve_schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if not ai:
@@ -133,7 +183,12 @@ def _convolve_schoolbook(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _convolve_kronecker(a: list[int], b: list[int]) -> list[int]:
+def _entry_bound(a: Sequence[int], b: Sequence[int]) -> int:
+    """Bound on |entry| of the convolution of a and b; 0 if either is zero."""
+    return min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+
+
+def _convolve_bytes(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Convolution via packing into big integers.
 
     Each operand is split into nonnegative and negative parts, every part is
@@ -142,14 +197,12 @@ def _convolve_kronecker(a: list[int], b: list[int]) -> list[int]:
     of |a| * |b| can overflow its slot, hence byte slicing recovers the
     coefficients exactly.
     """
-    max_a = max(abs(c) for c in a)
-    max_b = max(abs(c) for c in b)
-    if max_a == 0 or max_b == 0:
+    bound = _entry_bound(a, b)
+    if not bound:
         return [0] * (len(a) + len(b) - 1)
-    bound = min(len(a), len(b)) * max_a * max_b
     width = (bound.bit_length() + 8) // 8 + 1  # bytes per slot, with headroom
 
-    def split(coeffs: list[int]) -> tuple[int, int]:
+    def split(coeffs: Sequence[int]) -> tuple[int, int]:
         pos = bytearray(width * len(coeffs))
         neg = bytearray(width * len(coeffs))
         for i, c in enumerate(coeffs):
@@ -174,3 +227,48 @@ def _convolve_kronecker(a: list[int], b: list[int]) -> list[int]:
         - int.from_bytes(minus_bytes[k * width:(k + 1) * width], "little")
         for k in range(n_out)
     ]
+
+
+def _convolve_decimal(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Convolution via one exact Decimal product of base-10^w slots.
+
+    Each operand becomes A = sum(a_i * 10^(w*i)), formed exactly as the
+    difference of two digit strings (its positive and its negated negative
+    coefficients, each zero-padded to w digits).  One multiply gives
+    sum(c_k * 10^(w*k)).  The slot width w makes 10^w exceed twice any
+    |c_k|, so reading the product back in balanced base-10^w digits (a slot
+    at or above 10^w / 2 is negative and borrows one from the next slot)
+    recovers every c_k exactly.
+    """
+    bound = _entry_bound(a, b)
+    n_out = len(a) + len(b) - 1
+    if not bound:
+        return [0] * n_out
+    # 30103/100000 exceeds log10(2), so 10^width > 2 * bound.
+    width = (2 * bound).bit_length() * 30103 // 100000 + 1
+    packed = _EXACT.multiply(_pack_decimal(a, width), _pack_decimal(b, width))
+
+    text = str(packed.copy_abs()).zfill(width * n_out)
+    base = 10**width
+    half = base // 2
+    out = []
+    carry = 0
+    for end in range(len(text), len(text) - width * n_out, -width):
+        c = from_decimal(text[end - width:end]) + carry
+        carry = c >= half
+        out.append(c - base if carry else c)
+    if packed.is_signed():
+        return [-c for c in out]
+    return out
+
+
+def _pack_decimal(coeffs: Sequence[int], width: int) -> Decimal:
+    zeros = "0" * width
+    pos = "".join(to_decimal(c).zfill(width) if c > 0 else zeros for c in reversed(coeffs))
+    neg = "".join(to_decimal(-c).zfill(width) if c < 0 else zeros for c in reversed(coeffs))
+    return _EXACT.subtract(Decimal(pos), Decimal(neg))
+
+
+# GMP multiplies packed bytes fast; without it, CPython's int multiply is
+# Karatsuba, and libmpdec's transform multiply on decimal slots is faster.
+_convolve_kronecker = _convolve_decimal if _mpz is int else _convolve_bytes

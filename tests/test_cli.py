@@ -1,10 +1,17 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from decimal import MAX_PREC, Context
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from multiderange import cli
 from multiderange.cli import decimal_approx, main
-from multiderange.counting import classic_derangement
+from multiderange.counting import classic_derangement, uniform_count
 from multiderange.sequences import SequenceSlice, parse_bfile, parse_terms_file
 
 D52 = "29672484407795138298279444403649511427278111361911893663894333196201"
@@ -316,3 +323,73 @@ class TestDeterminismAndFormats:
             "--format", "bfile",
         )[1]
         assert [int(v) for v in plain.split()] == list(parse_bfile(bfile).terms)
+
+
+def _limit_free_text(n: int) -> str:
+    return str(Context(prec=MAX_PREC).create_decimal(n))
+
+
+@pytest.fixture
+def default_digit_limit(monkeypatch):
+    """The interpreter's default int -> str cap, as when gmpy2 is installed.
+
+    The cli's text seam gets a conversion that ignores the cap, so any bare
+    str() of a big count in the cli raises ValueError.
+    """
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    monkeypatch.setattr(cli, "to_decimal", _limit_free_text)
+    yield
+    sys.set_int_max_str_digits(previous)
+
+
+class TestTextUnderDefaultDigitLimit:
+    def test_prob_plain_with_long_numerator(self, capsys, default_digit_limit):
+        n = 1700
+        expected = Fraction(classic_derangement(n), math.factorial(n))
+        assert len(_limit_free_text(expected.numerator)) > 4300
+        code, out, _ = run_cli(capsys, "prob", *["1"] * n)
+        assert code == 0
+        assert out == (
+            f"{_limit_free_text(expected.numerator)}/{_limit_free_text(expected.denominator)}"
+            " ≈ 0.367879441171442\n"
+        )
+
+    def test_table_structured_with_long_last_term(self, capsys, default_digit_limit):
+        code, out, _ = run_cli(
+            capsys, "table", "--fixed", "k", "--value", "2", "--upto", "1000",
+            "--format", "structured",
+        )
+        assert code == 0
+        last = json.loads(out)["terms"][-1]
+        assert len(last) > 4300
+        assert last == _limit_free_text(uniform_count(1000, 2))
+
+
+class TestSearchCapValidation:
+    @pytest.mark.parametrize("flag, value", [("--max-order", "0"), ("--max-degree", "-1")])
+    def test_guess_rejects_bad_cap(self, tmp_path, flag, value):
+        terms_file = tmp_path / "ones.txt"
+        terms_file.write_text("1\n" * 20)
+        with pytest.raises(SystemExit) as info:
+            main(["guess", "--terms-file", str(terms_file), flag, value])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--max-order", "0"), ("--max-degree", "-1")])
+    def test_table_rejects_bad_cap(self, flag, value):
+        with pytest.raises(SystemExit) as info:
+            main(["table", "--fixed", "k", "--value", "2", "--upto", "80", flag, value])
+        assert info.value.code == 2
+
+
+def test_python_dash_m_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    done = subprocess.run(
+        [sys.executable, "-m", "multiderange", "derange", "5"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout == "44\n"

@@ -18,7 +18,10 @@ from multiderange.counting import (
     uniform_fixed_n_prefix,
     wrong_rank_probability,
 )
-from multiderange.errors import InstanceTooLarge
+from multiderange import counting
+from multiderange.errors import InstanceTooLarge, InternalInconsistency
+from multiderange.laguerre import exp_moment, laguerre, scaled_laguerre
+from multiderange.polys import product
 
 D52 = 29672484407795138298279444403649511427278111361911893663894333196201
 DECK_COUNT = 1493804444499093354916284290188948031229880469556
@@ -179,7 +182,8 @@ class TestUniformFamily:
                 assert uniform_count(n, k) == multiset_derangement((k,) * n).value
 
     def test_prefix_helpers_match_pointwise(self):
-        assert uniform_fixed_k_prefix(3, 12) == [uniform_count(n, 3) for n in range(12)]
+        for k in range(7):
+            assert uniform_fixed_k_prefix(k, 40) == [uniform_count(n, k) for n in range(40)], k
         assert uniform_fixed_n_prefix(3, 12) == [uniform_count(3, k) for k in range(12)]
 
 
@@ -226,3 +230,28 @@ class TestIntegralityGuard:
             _signed_count(Fraction(1, 2), 0)
         with pytest.raises(InternalInconsistency):
             _signed_count(Fraction(3), 1)  # sign flip makes it negative
+
+
+class TestIntegerCore:
+    @given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=12))
+    def test_matches_rational_moment(self, m):
+        moment = exp_moment(product([laguerre(a) for a in m]))
+        assert multiset_derangement(tuple(m)).value == (-1) ** sum(m) * moment
+
+    def test_corrupted_factor_is_not_divisible(self, monkeypatch):
+        def corrupted(a):
+            f = scaled_laguerre(a)
+            return (f[0] + 1,) + f[1:] if a == 3 else f
+
+        monkeypatch.setattr(counting, "scaled_laguerre", corrupted)
+        with pytest.raises(InternalInconsistency, match="not divisible"):
+            multiset_derangement((3, 2, 2))
+
+    def test_corrupted_factor_flips_the_sign(self, monkeypatch):
+        monkeypatch.setattr(
+            counting, "scaled_laguerre", lambda a: tuple(-c for c in scaled_laguerre(a))
+        )
+        with pytest.raises(InternalInconsistency, match="wrong sign"):
+            multiset_derangement((3, 3, 3))  # three negated factors
+        with pytest.raises(InternalInconsistency, match="wrong sign"):
+            uniform_fixed_k_prefix(3, 4)  # (-1)^3 flips F(3) = 56

@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multiderange.laguerre import exp_moment, laguerre
+from multiderange.laguerre import exp_moment, integer_moment, laguerre, scaled_laguerre
 from multiderange.polys import add, mul, poly
 
 small_polys = st.lists(
@@ -33,6 +33,12 @@ class TestLaguerre:
         for a in range(101):
             assert laguerre(a)[0] == 1
 
+    def test_scaled_form_is_factorial_times_rational_form(self):
+        for a in range(12):
+            scaled = scaled_laguerre(a)
+            assert all(isinstance(c, int) for c in scaled)
+            assert [Fraction(c, math.factorial(a)) for c in scaled] == list(laguerre(a))
+
     def test_cache_returns_same_object(self):
         assert laguerre(9) is laguerre(9)
 
@@ -58,6 +64,12 @@ class TestExpMoment:
 
     def test_zero_polynomial(self):
         assert exp_moment(()) == 0
+        assert integer_moment([]) == 0
+
+    @given(small_polys)
+    def test_integer_moment_is_scaled_exp_moment(self, p):
+        den = math.lcm(*(c.denominator for c in p))
+        assert integer_moment([int(c * den) for c in p]) == exp_moment(p) * den
 
     @given(small_polys, small_polys)
     def test_linearity(self, p, q):

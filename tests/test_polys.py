@@ -1,6 +1,7 @@
+import decimal
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multiderange import polys
@@ -27,6 +28,20 @@ small_fractions = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
 )
 small_polys = st.lists(small_fractions, max_size=7).map(poly)
+
+# Signed integer coefficients: zeros, word-sized ones, and ones of more than
+# 4300 digits (past CPython's default int <-> str limit).
+coefficients = st.one_of(
+    st.just(0),
+    st.integers(min_value=-(10**12), max_value=10**12),
+    st.builds(
+        lambda sign, exponent, low: sign * (10**exponent + low),
+        st.sampled_from([1, -1]),
+        st.integers(min_value=4300, max_value=4400),
+        st.integers(min_value=0, max_value=10**30),
+    ),
+)
+operands = st.lists(coefficients, min_size=1, max_size=60)
 
 
 class TestBasics:
@@ -115,12 +130,32 @@ class TestConvolutionPaths:
         st.lists(st.integers(min_value=-(10**12), max_value=10**12), min_size=4, max_size=40),
     )
     def test_kronecker_equals_schoolbook(self, a, b):
-        assert polys._convolve_kronecker(a, b) == polys._convolve_schoolbook(a, b)
+        assert polys._convolve_bytes(a, b) == polys._convolve_schoolbook(a, b)
+
+    @given(operands, operands)
+    @example([0, 0, 0, 0], [1, -2, 3, -4])
+    @example([5], [0])
+    @example([10**4400 + 1, -(10**4350), 0, 7], [-(10**4301), 3])
+    def test_decimal_slots_equal_schoolbook(self, a, b):
+        # A 5-digit ambient context: the decimal path must never round through it.
+        with decimal.localcontext() as ambient:
+            ambient.prec = 5
+            got = polys._convolve_decimal(a, b)
+        assert got == polys._convolve_schoolbook(a, b)
 
     def test_large_product_crosses_cutoff(self):
         p = poly([Fraction(i - 20, 7) for i in range(40)] + [1])
         q = poly([Fraction((-1) ** i * i, 3) for i in range(40)] + [1])
         assert mul(p, q) == naive_mul(p, q)
+
+    def test_integer_core_matches_rational_api(self):
+        a, b = [3, -1, 0, 4], [-2, 5]
+        assert polys.int_mul(a, b) == [-6, 17, -5, -8, 20]
+        assert poly(polys.int_mul(a, b)) == mul(poly(a), poly(b))
+        assert polys.int_product([a, b, b]) == polys.int_mul(polys.int_mul(a, b), b)
+        assert polys.int_power(b, 3) == polys.int_product([b, b, b])
+        assert polys.int_power(b, 0) == [1]
+        assert polys.int_mul(a, []) == []
 
     def test_scaled_integers_roundtrip(self):
         p = poly([Fraction(1, 6), Fraction(-2, 15), 3])
