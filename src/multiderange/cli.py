@@ -123,26 +123,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("derange", help="count derangements of n distinct items")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_at_least(0))
     _add_format(p)
 
     p = sub.add_parser("multi", help="count derangements of a multiset")
-    p.add_argument("multiplicities", type=int, nargs="+", metavar="a")
+    p.add_argument("multiplicities", type=_int_at_least(1), nargs="+", metavar="a")
     _add_format(p)
 
     p = sub.add_parser("deck", help="shortcut for 'multi 4 ... 4' (13 fours)")
     _add_format(p)
 
     p = sub.add_parser("prob", help="exact probability that nothing stays in place")
-    p.add_argument("multiplicities", type=int, nargs="+", metavar="a")
+    p.add_argument("multiplicities", type=_int_at_least(1), nargs="+", metavar="a")
     p.add_argument("--format", choices=["plain", "structured"], default="plain")
 
     p = sub.add_parser("table", help="emit a row or column of the uniform family")
     p.add_argument("--fixed", choices=["k", "n"], required=True,
                    help="which parameter stays fixed while the other runs 0..upto")
-    p.add_argument("--value", type=int, required=True)
-    p.add_argument("--upto", type=int, required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    p.add_argument("--value", type=_int_at_least(0), required=True)
+    p.add_argument("--upto", type=_int_at_least(0), required=True)
+    p.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
                    help=f"terms computed directly before guessing (default {DEFAULT_SEED})")
     p.add_argument("--direct-only", action="store_true",
                    help="skip guessing; evaluate every term from the moment formula")
@@ -161,8 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oeis-check", help="compare local terms against OEIS data")
     p.add_argument("--id", required=True, metavar="A######")
     p.add_argument("--fixed", choices=["k", "n"], required=True)
-    p.add_argument("--value", type=int, required=True)
-    p.add_argument("--count", type=int, required=True,
+    p.add_argument("--value", type=_int_at_least(0), required=True)
+    p.add_argument("--count", type=_int_at_least(1), required=True,
                    help="number of local terms to compute, starting at index 0")
     p.add_argument("--online", action="store_true",
                    help="allow fetching from the network when not cached")
@@ -211,15 +211,12 @@ def run() -> None:
 # -- command handlers --------------------------------------------------------
 
 def _cmd_derange(parser, args) -> int:
-    if args.n < 0:
-        parser.error("n must be nonnegative")
     _emit_value(args.format, index=args.n, value=classic_derangement(args.n),
                 extra={"n": args.n})
     return EXIT_OK
 
 
 def _cmd_multi(parser, args) -> int:
-    _require_positive(parser, args.multiplicities)
     count = multiset_derangement(tuple(args.multiplicities))
     _emit_value(args.format, index=len(args.multiplicities), value=count.value,
                 extra={"multiset": list(args.multiplicities)})
@@ -234,7 +231,6 @@ def _cmd_deck(parser, args) -> int:
 
 
 def _cmd_prob(parser, args) -> int:
-    _require_positive(parser, args.multiplicities)
     probability = wrong_rank_probability(tuple(args.multiplicities))
     decimal = decimal_approx(probability)
     if args.format == "structured":
@@ -250,8 +246,6 @@ def _cmd_prob(parser, args) -> int:
 
 
 def _cmd_table(parser, args) -> int:
-    if args.value < 0 or args.upto < 0:
-        parser.error("--value and --upto must be nonnegative")
     direction = "fixed_k" if args.fixed == "k" else "fixed_n"
     recurrence = None
     if args.direct_only or args.upto < args.seed:
@@ -323,8 +317,6 @@ def _cmd_oeis_check(parser, args) -> int:
         _check_id(args.id)
     except ValueError as exc:
         parser.error(str(exc))
-    if args.value < 0 or args.count < 1:
-        parser.error("--value must be nonnegative and --count positive")
     direction = "fixed_k" if args.fixed == "k" else "fixed_n"
     local = SequenceSlice(0, tuple(_direct_prefix(direction, args.value, args.count)))
     client = OeisClient(cache_dir=args.cache_dir, online=args.online)
@@ -369,11 +361,6 @@ def _direct_prefix(direction: str, value: int, count: int) -> list[int]:
     if direction == "fixed_k":
         return uniform_fixed_k_prefix(value, count)
     return uniform_fixed_n_prefix(value, count)
-
-
-def _require_positive(parser, multiplicities: list[int]) -> None:
-    if not multiplicities or any(a < 1 for a in multiplicities):
-        parser.error("all multiplicities must be >= 1")
 
 
 def _emit_value(fmt: str, *, index: int, value: int, extra: dict) -> None:

@@ -76,15 +76,6 @@ def poly(coeffs: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def constant(c: Fraction | int) -> tuple[Fraction, ...]:
-    return poly([c])
-
-
-def degree(p: Sequence[Fraction]) -> int:
-    """Degree of p; the zero polynomial has degree -1."""
-    return len(p) - 1
-
-
 def add(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Coefficientwise sum, normalized."""
     if len(p) < len(q):

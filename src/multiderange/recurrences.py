@@ -3,13 +3,21 @@ coefficients.
 
 A recurrence of order r is sum over j of p_j(n) * s(n+j) = 0 with integer
 polynomial coefficients p_0 .. p_r, p_r not identically zero.  Guessing
-fits such a recurrence to an exact term prefix by linear algebra over the
-integers: candidate (order, degree) pairs are tried in increasing
-order+degree, the homogeneous system over all usable shifts is solved
-exactly, and a candidate is accepted only when the system is overdetermined
-by a fixed margin and a nontrivial nullspace vector annihilates every
-available term.  No floating point is involved anywhere, so a returned
+fits such a recurrence to an exact term prefix: candidate (order, degree)
+pairs are tried in increasing order+degree, and a candidate is accepted only
+when its homogeneous system over all usable shifts is overdetermined by a
+fixed margin and has a nonzero solution.
+
+One exact solver decides every candidate.  It reduces the system mod a
+descending stream of 31-bit primes.  A prime with full column rank proves
+the system has no solution; otherwise nullspace vectors are combined across
+primes by CRT and rationally reconstructed.  Rank and pivot columns mod p
+can only be worse than over the rationals, never better, so only primes
+with the best pivot shape seen so far are combined: more pivots first, then
+earlier pivot columns.  A reconstructed vector is returned only after it
+annihilates every available term over the integers, so a returned
 recurrence can only fail beyond the data it was fitted on, never on it.
+No floating point is involved anywhere.
 
 Guessed recurrences are empirical: they are verified, never certified.
 """
@@ -41,21 +49,13 @@ GUESS_MARGIN = 10
 DEFAULT_MAX_ORDER = 12
 DEFAULT_MAX_DEGREE = 12
 
-# Fixed modulus for the cheap rank prescreen (rank over a prime field never
-# exceeds rank over the rationals, so full modular rank certifies a trivial
-# nullspace).  2^31 - 1 is prime and its squares fit comfortably in int64.
-_PRESCREEN_PRIME = (1 << 31) - 1
+# First prime of every fit, so a single rank check mod this prime rejects
+# most candidates.  2^31 - 1 is prime and its squares fit comfortably in int64.
+_FIRST_PRIME = (1 << 31) - 1
 
-# Systems with at least this many unknowns route through the multi-prime
-# solver; smaller ones go straight to fraction-free elimination.
-_MODULAR_MIN_COLUMNS = 30
-
-# Prime counts per reconstruction round: ~9 digits of coefficient height per
-# prime, so the schedule covers heights up to roughly 3700 digits before
-# falling back to direct elimination.
-_MODULAR_ROUNDS = (8, 8, 16, 32, 64, 128, 144)
-
-_UNDECIDED = object()
+# Primes combined before the first reconstruction attempt; each later attempt
+# waits for twice as many.  Each prime adds ~9 digits to the CRT modulus.
+_FIRST_ROUND = 8
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,9 @@ def guess_recurrence(
         raise InsufficientData(
             min(_terms_needed(r, d) for r, d in candidates), length
         )
-    terms_mod = [t % _PRESCREEN_PRIME for t in s.terms]
+    residues: dict[int, np.ndarray] = {}
     for r, d in feasible:
-        if _prescreen_full_rank(terms_mod, s.offset, r, d):
-            continue
-        vector = _fit_candidate(s, r, d)
+        vector = _fit(s, r, d, residues)
         if vector is not None:
             return _vector_to_recurrence(vector, r, d)
     raise RecurrenceNotFound(max_order, max_degree)
@@ -283,74 +281,79 @@ def _terms_needed(r: int, d: int) -> int:
     return (r + 1) * (d + 1) + r + GUESS_MARGIN
 
 
-def _fit_candidate(s: SequenceSlice, r: int, d: int) -> list[int] | None:
-    """Exact nullspace vector of the full (r, d) system, or None.
+def _fit(
+    s: SequenceSlice, r: int, d: int, residues: dict[int, "np.ndarray"]
+) -> list[int] | None:
+    """A nonzero exact solution of the full (r, d) system, or None if none exists.
 
-    Large systems first try the multi-prime route: solve mod a fixed
-    sequence of word-size primes, combine by CRT, reconstruct rational
-    coefficients, and accept only after an exact integer check of every
-    row.  Small systems (and any undecided large one) take the direct
-    fraction-free elimination route.
+    Per prime of _prime_stream the system is brought to reduced row echelon
+    form over the prime field in vectorized int64.  Rank mod p never exceeds
+    the rational rank, so full column rank mod p certifies that only the
+    zero vector solves the system; the first prime alone rejects most
+    candidates this way.  Otherwise the canonical nullspace basis mod p is
+    combined across primes by CRT, and after 8, 16, 32, ... combined primes
+    each basis vector is rationally reconstructed.  A reconstruction is
+    returned only once it annihilates every row over the integers.
+
+    Pivots mod p never come earlier than the rational ones, so the pivot
+    shape to trust is the best seen so far: more pivots first, then the
+    lexicographically smaller pivot columns.  A prime with a worse shape is
+    skipped, and one with a better shape restarts the combination.  Only
+    finitely many primes are unlucky, so the loop ends.
+
+    `residues` maps each prime to the terms reduced mod it; the caller
+    shares it across candidates so the big terms are reduced once per prime.
     """
-    if (r + 1) * (d + 1) >= _MODULAR_MIN_COLUMNS:
-        result = _fit_modular(s, r, d)
-        if result is not _UNDECIDED:
-            return result
-    return _fit_elimination(s, r, d)
-
-
-def _fit_elimination(s: SequenceSlice, r: int, d: int) -> list[int] | None:
-    """Fraction-free elimination on the smallest-term rows, then exact
-    residual checks on the rest.
-
-    With a one-dimensional subset nullspace a failed residual certifies
-    the full system has no solution; with a larger one the remaining
-    constraints are solved exactly in the subset-nullspace coordinates.
-    """
-    rows = _build_rows(s, r, d)
     n_cols = (r + 1) * (d + 1)
-    subset = rows[: n_cols + GUESS_MARGIN]
-    basis = _nullspace_basis(subset, n_cols)
-    if not basis:
-        return None
-    rest = rows[len(subset):]
-    if len(basis) == 1:
-        vector = basis[0]
-        return vector if _annihilates(rows, vector) else None
-    if rest:
-        reduced = [[_dot(row, b) for b in basis] for row in rest]
-        combinations = _nullspace_basis(reduced, len(basis))
-        if not combinations:
-            return None
-        candidates = [_combine(basis, combo) for combo in combinations]
-    else:
-        candidates = basis
-    candidates = [c for c in candidates if _annihilates(rows, c)]
-    return _prefer_leading(candidates, d + 1) if candidates else None
+    best_shape: tuple | None = None
+    rows: list[list[int]] | None = None
+    for p in _prime_stream():
+        if p not in residues:
+            residues[p] = np.array([t % p for t in s.terms], dtype=np.int64)
+        matrix = _modp_matrix(residues[p], s.offset, r, d, p)
+        pivots = _rref_mod_p(matrix, p)
+        if len(pivots) == n_cols:
+            return None  # full rank mod p: certified trivial nullspace
+        shape = (-len(pivots), pivots)
+        if best_shape is not None and shape > best_shape:
+            continue  # p is unlucky
+        basis = _nullspace_mod_p(matrix, pivots, p)
+        if shape != best_shape:
+            best_shape = shape
+            combined, modulus = basis, p
+            used, next_attempt = 1, _FIRST_ROUND
+        else:
+            combined = [
+                _crt_merge(old, modulus, new, p)
+                for old, new in zip(combined, basis)
+            ]
+            modulus *= p
+            used += 1
+        if used < next_attempt:
+            continue
+        next_attempt *= 2
+        verified = []
+        for vector in combined:
+            candidate = _reconstruct_vector(vector, modulus)
+            if candidate is None:
+                continue
+            if rows is None:
+                rows = _build_rows(s, r, d)
+            if _annihilates(rows, candidate):
+                verified.append(candidate)
+        if verified:
+            return _prefer_leading(verified, d + 1)
+    raise RuntimeError("prime stream exhausted")
 
 
-def _build_rows(s: SequenceSlice, r: int, d: int) -> list[list[int]]:
-    """One row per usable shift n: entries n^e * s(n+j), e fast, j slow."""
-    rows = []
-    terms = s.terms
-    for i in range(len(terms) - r):
-        n = s.offset + i
-        powers = [1]
-        for _ in range(d):
-            powers.append(powers[-1] * n)
-        rows.append([powers[e] * terms[i + j] for j in range(r + 1) for e in range(d + 1)])
-    return rows
-
-
-def _modp_matrix(terms_mod: list[int], offset: int, r: int, d: int, p: int) -> "np.ndarray":
+def _modp_matrix(terms_mod: "np.ndarray", offset: int, r: int, d: int, p: int) -> "np.ndarray":
     """The full candidate system reduced mod p, as an int64 array.
 
     Entries stay below p < 2^31, so every product formed during modular
     elimination fits in int64 with room to spare.
     """
     n_rows = len(terms_mod) - r
-    t = np.array(terms_mod, dtype=np.int64)
-    shifts = np.stack([t[j:j + n_rows] for j in range(r + 1)], axis=1)
+    shifts = np.stack([terms_mod[j:j + n_rows] for j in range(r + 1)], axis=1)
     n_values = np.arange(offset, offset + n_rows, dtype=np.int64) % p
     powers = np.empty((n_rows, d + 1), dtype=np.int64)
     powers[:, 0] = 1
@@ -359,19 +362,7 @@ def _modp_matrix(terms_mod: list[int], offset: int, r: int, d: int, p: int) -> "
     return (shifts[:, :, None] * powers[:, None, :] % p).reshape(n_rows, -1)
 
 
-def _prescreen_full_rank(terms_mod: list[int], offset: int, r: int, d: int) -> bool:
-    """True when the candidate system is certifiably unsolvable.
-
-    Full column rank mod p implies full rank over the rationals, so the
-    expensive exact stage can be skipped.  A deficient modular rank proves
-    nothing and simply lets the exact stage decide.
-    """
-    matrix = _modp_matrix(terms_mod, offset, r, d, _PRESCREEN_PRIME)
-    pivots = _rref_mod_p(matrix, _PRESCREEN_PRIME)
-    return len(pivots) == matrix.shape[1]
-
-
-def _rref_mod_p(m: "np.ndarray", p: int) -> list[int]:
+def _rref_mod_p(m: "np.ndarray", p: int) -> tuple[int, ...]:
     """In-place reduced row echelon form mod p; returns the pivot columns."""
     n_rows, n_cols = m.shape
     rank = 0
@@ -395,107 +386,33 @@ def _rref_mod_p(m: "np.ndarray", p: int) -> list[int]:
         rank += 1
         if rank == n_rows:
             break
-    return pivot_cols
+    return tuple(pivot_cols)
 
 
-# -- multi-prime fitting ------------------------------------------------------
+def _nullspace_mod_p(m: "np.ndarray", pivot_cols: tuple[int, ...], p: int) -> list[list[int]]:
+    """Canonical nullspace basis of a matrix in RREF mod p.
 
-def _fit_modular(s: SequenceSlice, r: int, d: int):
-    """Candidate vector by CRT over word-size primes, or None, or _UNDECIDED.
-
-    Per prime the system is brought to reduced row echelon form over a
-    prime field in vectorized int64; a full-rank prime certifies there is
-    no rational solution at all.  Otherwise the canonical nullspace basis
-    (one vector per free column, that coordinate set to 1) is combined
-    across primes by CRT and rationally reconstructed, and a reconstruction
-    is accepted only once it annihilates every row over the integers.
-    Anything irregular (disagreeing pivot structure, excessive nullity,
-    reconstruction never settling) returns _UNDECIDED so the caller can run
-    direct elimination instead.
+    One vector per free column in ascending order, with that free
+    coordinate set to 1 and the other free coordinates 0 - the reduction
+    mod p of the unique rational RREF nullspace basis whenever p preserves
+    the pivot shape.
     """
-    primes = _prime_stream()
-    combined: list[list[int]] | None = None
-    modulus = 1
-    pivot_shape: tuple[int, ...] | None = None
-    bad_primes = 0
-    rows: list[list[int]] | None = None
-
-    for round_size in _MODULAR_ROUNDS:
-        added = 0
-        while added < round_size:
-            p = next(primes)
-            solution = _solve_mod_p(s, r, d, p)
-            if solution is None:
-                return None  # full rank mod p: certified trivial nullspace
-            pivots, basis = solution
-            if len(basis) > 8:
-                return _UNDECIDED
-            if pivot_shape is None:
-                pivot_shape = pivots
-            if pivots != pivot_shape:
-                bad_primes += 1
-                if bad_primes > 16:
-                    return _UNDECIDED
-                continue
-            if combined is None:
-                combined = [list(vector) for vector in basis]
-                modulus = p
-            else:
-                merged = [
-                    _crt_merge(old, modulus, new, p)[0]
-                    for old, new in zip(combined, basis)
-                ]
-                combined = merged
-                modulus *= p
-            added += 1
-        verified = []
-        for vector in combined:
-            candidate = _reconstruct_vector(vector, modulus)
-            if candidate is None:
-                continue
-            if rows is None:
-                rows = _build_rows(s, r, d)
-            if _annihilates(rows, candidate):
-                verified.append(candidate)
-        if verified:
-            return _prefer_leading(verified, d + 1)
-    return _UNDECIDED
-
-
-def _solve_mod_p(s: SequenceSlice, r: int, d: int, p: int):
-    """Canonical nullspace basis mod p, or None for a full-rank system.
-
-    Returns (pivot_columns, basis) where basis holds one vector per free
-    column in ascending order, with that free coordinate set to 1 and the
-    other free coordinates 0 - the reduction mod p of the unique rational
-    RREF nullspace basis whenever p preserves the pivot structure.
-    """
-    terms_mod = [t % p for t in s.terms]
-    matrix = _modp_matrix(terms_mod, s.offset, r, d, p)
-    n_cols = matrix.shape[1]
-    pivot_cols = _rref_mod_p(matrix, p)
-    if len(pivot_cols) == n_cols:
-        return None
+    n_cols = m.shape[1]
     free_cols = [c for c in range(n_cols) if c not in pivot_cols]
     basis = []
     for free in free_cols:
         vector = [0] * n_cols
         vector[free] = 1
         for k, col in enumerate(pivot_cols):
-            vector[col] = int(-matrix[k, free]) % p
+            vector[col] = int(-m[k, free]) % p
         basis.append(vector)
-    return (tuple(pivot_cols), basis)
+    return basis
 
 
-def _crt_merge(
-    combined: list[int], modulus: int, vector: list[int], p: int
-) -> tuple[list[int], int]:
+def _crt_merge(combined: list[int], modulus: int, vector: list[int], p: int) -> list[int]:
+    """Values mod modulus*p that agree with combined mod modulus and vector mod p."""
     inverse = pow(modulus % p, p - 2, p)
-    merged = [
-        (c + modulus * ((v - c) * inverse % p)) for c, v in zip(combined, vector)
-    ]
-    new_modulus = modulus * p
-    return [v % new_modulus for v in merged], new_modulus
+    return [c + modulus * ((v - c) * inverse % p) for c, v in zip(combined, vector)]
 
 
 def _reconstruct_vector(combined: list[int], modulus: int) -> list[int] | None:
@@ -535,13 +452,18 @@ def _clear_to_coprime(values: list[Fraction]) -> list[int]:
 
 
 def _prime_stream():
-    """Deterministic descending stream of 31-bit primes."""
-    n = _PRESCREEN_PRIME
+    """Deterministic descending stream of 31-bit primes.
+
+    _FIRST_PRIME is a known prime, and most candidates are decided by it
+    alone, so it is yielded without the primality test each fit would
+    otherwise repeat.
+    """
+    yield _FIRST_PRIME
+    n = _FIRST_PRIME - 2
     while n > 1 << 30:
         if _is_prime(n):
             yield n
         n -= 2
-    raise RuntimeError("prime stream exhausted")
 
 
 def _is_prime(n: int) -> bool:
@@ -567,42 +489,17 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _nullspace_basis(rows: list[list[int]], n_cols: int) -> list[list[int]]:
-    """Exact nullspace basis, one coprime integer vector per free column.
-
-    Forward elimination is fraction-free (Bareiss), so every intermediate
-    entry is an integer (a minor of the input); back-substitution runs over
-    Fractions and each vector is cleared of denominators and content.
-    """
-    m = [row[:] for row in rows]
-    n_rows = len(m)
-    pivot_cols: list[int] = []
-    previous = 1
-    rank = 0
-    for col in range(n_cols):
-        pivot_row = next((i for i in range(rank, n_rows) if m[i][col]), None)
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, n_rows):
-            factor = m[i][col]
-            row_i = m[i]
-            row_p = m[rank]
-            if factor:
-                for c in range(col + 1, n_cols):
-                    row_i[c] = (pivot * row_i[c] - factor * row_p[c]) // previous
-            elif pivot != previous:
-                for c in range(col + 1, n_cols):
-                    row_i[c] = pivot * row_i[c] // previous
-            row_i[col] = 0
-        pivot_cols.append(col)
-        previous = pivot
-        rank += 1
-        if rank == n_rows:
-            break
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-    return [_back_substitute(m, pivot_cols, n_cols, f) for f in free_cols]
+def _build_rows(s: SequenceSlice, r: int, d: int) -> list[list[int]]:
+    """One row per usable shift n: entries n^e * s(n+j), e fast, j slow."""
+    rows = []
+    terms = s.terms
+    for i in range(len(terms) - r):
+        n = s.offset + i
+        powers = [1]
+        for _ in range(d):
+            powers.append(powers[-1] * n)
+        rows.append([powers[e] * terms[i + j] for j in range(r + 1) for e in range(d + 1)])
+    return rows
 
 
 def _dot(row: list[int], vector: list[int]) -> int:
@@ -613,41 +510,12 @@ def _annihilates(rows: list[list[int]], vector: list[int]) -> bool:
     return all(_dot(row, vector) == 0 for row in rows)
 
 
-def _combine(basis: list[list[int]], weights: list[int]) -> list[int]:
-    n = len(basis[0])
-    out = [0] * n
-    for w, vec in zip(weights, basis):
-        if w:
-            for i in range(n):
-                out[i] += w * vec[i]
-    content = 0
-    for v in out:
-        content = gcd(content, v)
-    return [v // content for v in out] if content else out
-
-
 def _prefer_leading(candidates: list[list[int]], leading_width: int) -> list[int]:
     """First vector whose top coefficient block is nonzero (usable order)."""
     for vector in candidates:
         if any(vector[-leading_width:]):
             return vector
     return candidates[0]
-
-
-def _back_substitute(
-    m: list[list[int]], pivot_cols: list[int], n_cols: int, free_col: int
-) -> list[int]:
-    x: list[Fraction] = [Fraction(0)] * n_cols
-    x[free_col] = Fraction(1)
-    for k in range(len(pivot_cols) - 1, -1, -1):
-        col = pivot_cols[k]
-        row = m[k]
-        acc = Fraction(0)
-        for c in range(col + 1, n_cols):
-            if x[c]:
-                acc += row[c] * x[c]
-        x[col] = -acc / row[col]
-    return _clear_to_coprime(x)
 
 
 def _vector_to_recurrence(vector: list[int], r: int, d: int) -> Recurrence:

@@ -375,7 +375,9 @@ class TestSearchCapValidation:
             main(["guess", "--terms-file", str(terms_file), flag, value])
         assert info.value.code == 2
 
-    @pytest.mark.parametrize("flag, value", [("--max-order", "0"), ("--max-degree", "-1")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-order", "0"), ("--max-degree", "-1"), ("--seed", "-5")]
+    )
     def test_table_rejects_bad_cap(self, flag, value):
         with pytest.raises(SystemExit) as info:
             main(["table", "--fixed", "k", "--value", "2", "--upto", "80", flag, value])

@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multiderange import polys
-from multiderange.polys import ONE, ZERO, add, degree, mul, poly, power, product
+from multiderange.polys import ONE, ZERO, add, mul, poly, power, product
 
 X_MINUS = poly([1, -1])  # 1 - x
 X_PLUS = poly([1, 1])  # 1 + x
@@ -106,7 +106,7 @@ class TestProperties:
     @given(small_polys, small_polys)
     def test_degree_adds(self, p, q):
         if p and q:
-            assert degree(mul(p, q)) == degree(p) + degree(q)
+            assert len(mul(p, q)) == len(p) + len(q) - 1
 
     @given(small_polys, small_polys)
     def test_mul_matches_naive(self, p, q):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -80,6 +81,31 @@ class TestGuess:
     def test_bad_caps_rejected(self):
         with pytest.raises(ValueError):
             guess_recurrence(SequenceSlice(0, (1,) * 20), 0, 3)
+
+    def test_unlucky_first_prime_with_worse_pivot_shape(self):
+        # Mod 2^31 - 1 (the first prime tried) the terms reduce to 2^n, whose
+        # (1, 1) system has a larger nullspace than the rational one.
+        m = (1 << 31) - 1
+        terms = tuple(2**n * (1 + m * n) for n in range(30))
+        rec = guess_recurrence(SequenceSlice(0, terms), 2, 2)
+        assert json.loads(recurrence_to_json(rec))["coeff_polys"] == [
+            ["-4294967296", "-4294967294"], ["1", "2147483647"]
+        ]
+
+    def test_rank_deficient_mod_first_prime_but_full_rank_over_q(self):
+        m = (1 << 31) - 1
+        terms = tuple(2**n + m * (n**3 % 7 + n) for n in range(30))
+        with pytest.raises(RecurrenceNotFound):
+            guess_recurrence(SequenceSlice(0, terms), 2, 2)
+
+    def test_tiny_system_with_tall_coefficients(self):
+        terms = [1]
+        for j in range(1, 30):
+            terms.append(terms[-1] * (10**300 * j + 1))
+        s = SequenceSlice(0, tuple(terms))
+        rec = guess_recurrence(s, 2, 2)
+        assert rec.order == 1
+        assert verify_recurrence(rec, s).ok
 
 
 class TestVerify:
