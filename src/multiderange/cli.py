@@ -4,7 +4,8 @@ Commands map one-to-one onto library operations; every command with the same
 arguments and cached data produces byte-identical output.  Exit codes:
 
   0  success (including an offline cross-check verdict)
-  2  usage error (bad flags, malformed ids, unreadable term files)
+  2  usage error (bad flags, malformed ids, unreadable term files,
+     an unwritable --recurrence-out path)
   3  computation error (search exhausted, oracle bound exceeded, ...)
   4  cross-check mismatch
 
@@ -282,7 +283,11 @@ def _cmd_table(parser, args) -> int:
     if recurrence is not None:
         serialized = recurrence_to_json(recurrence)
         if args.recurrence_out:
-            args.recurrence_out.write_text(serialized + "\n")
+            try:
+                args.recurrence_out.write_text(serialized + "\n")
+            except OSError as exc:
+                print(f"error: cannot write {args.recurrence_out}: {exc}", file=sys.stderr)
+                return EXIT_USAGE
         else:
             print(serialized, file=sys.stderr)
     return EXIT_OK
@@ -290,8 +295,8 @@ def _cmd_table(parser, args) -> int:
 
 def _cmd_guess(parser, args) -> int:
     try:
-        text = args.terms_file.read_text()
-    except OSError as exc:
+        text = args.terms_file.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.terms_file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -151,7 +151,7 @@ def uniform_fixed_n_prefix(n: int, count: int) -> list[int]:
     return [uniform_count(n, k) for k in range(count)]
 
 
-def _signed_count(moment: int | Fraction, total: int, scale: int = 1) -> int:
+def _signed_count(moment: int, total: int, scale: int = 1) -> int:
     """(-1)^total * moment / scale, which must be a nonnegative integer.
 
     A nonzero remainder or a negative result means the computation went
@@ -164,7 +164,7 @@ def _signed_count(moment: int | Fraction, total: int, scale: int = 1) -> int:
         raise InternalInconsistency("moment is not divisible by its scale")
     if quotient < 0:
         raise InternalInconsistency("moment has the wrong sign")
-    return int(quotient)
+    return quotient
 
 
 def brute_force_count(m: Multiset | Iterable[int], *, limit: int | None = None) -> int:

@@ -6,7 +6,7 @@ polynomial coefficients p_0 .. p_r, p_r not identically zero.  Guessing
 fits such a recurrence to an exact term prefix: candidate (order, degree)
 pairs are tried in increasing order+degree, and a candidate is accepted only
 when its homogeneous system over all usable shifts is overdetermined by a
-fixed margin and has a nonzero solution.
+fixed margin and has a solution of the candidate's order.
 
 One exact solver decides every candidate.  It reduces the system mod a
 descending stream of 31-bit primes.  A prime with full column rank proves
@@ -14,9 +14,17 @@ the system has no solution; otherwise nullspace vectors are combined across
 primes by CRT and rationally reconstructed.  Rank and pivot columns mod p
 can only be worse than over the rationals, never better, so only primes
 with the best pivot shape seen so far are combined: more pivots first, then
-earlier pivot columns.  A reconstructed vector is returned only after it
-annihilates every available term over the integers, so a returned
-recurrence can only fail beyond the data it was fitted on, never on it.
+earlier pivot columns.
+
+One exact check accepts: a reconstructed vector is returned only as a
+recurrence of the candidate's order (nonzero top coefficient block) that
+verify_recurrence passes on every available term.  A vector with a zero top
+block is a relation of lower order, and every lower order of the same
+degree had its own candidate earlier in the scan and was rejected there, so
+such a vector cannot hold on all the terms.  Once every basis vector
+reconstructs exactly and has a zero top block, the candidate is rejected.
+A returned recurrence can therefore only fail beyond the data it was
+fitted on, never on it.
 No floating point is involved anywhere.
 
 Guessed recurrences are empirical: they are verified, never certified.
@@ -121,9 +129,9 @@ def guess_recurrence(
         )
     residues: dict[int, np.ndarray] = {}
     for r, d in feasible:
-        vector = _fit(s, r, d, residues)
-        if vector is not None:
-            return _vector_to_recurrence(vector, r, d)
+        rec = _fit(s, r, d, residues)
+        if rec is not None:
+            return rec
     raise RecurrenceNotFound(max_order, max_degree)
 
 
@@ -179,15 +187,14 @@ def guess_and_extend_uniform(
     *,
     max_order: int = DEFAULT_MAX_ORDER,
     max_degree: int = DEFAULT_MAX_DEGREE,
-    holdout: int = GUESS_MARGIN,
 ) -> tuple[SequenceSlice, Recurrence]:
     """Seed with direct counts, guess, check held-out terms, then extend.
 
     direction "fixed_k" runs over the number of symbols n with multiplicity
     fixed_value; "fixed_n" runs over the multiplicity k with fixed_value
-    symbols.  The last `holdout` seed terms (at least 10) are withheld from
-    the guesser and then checked exactly; a miss raises HoldoutMismatch
-    rather than returning a fit that already failed once.
+    symbols.  The last GUESS_MARGIN (10) seed terms are withheld from the
+    guesser and then checked exactly; a miss raises HoldoutMismatch rather
+    than returning a fit that already failed once.
     """
     if direction == "fixed_k":
         terms = uniform_fixed_k_prefix(fixed_value, seed_count)
@@ -195,11 +202,10 @@ def guess_and_extend_uniform(
         terms = uniform_fixed_n_prefix(fixed_value, seed_count)
     else:
         raise ValueError(f"direction must be 'fixed_k' or 'fixed_n', got {direction!r}")
-    holdout = max(holdout, GUESS_MARGIN)
     if upto < seed_count:
         raise ValueError("upto must reach past the seed terms")
     seed = SequenceSlice(0, tuple(terms))
-    shown = SequenceSlice(0, tuple(terms[:-holdout]))
+    shown = SequenceSlice(0, tuple(terms[:-GUESS_MARGIN]))
     rec = guess_recurrence(shown, max_order, max_degree)
     report = verify_recurrence(rec, seed)
     if not report.ok:
@@ -283,8 +289,8 @@ def _terms_needed(r: int, d: int) -> int:
 
 def _fit(
     s: SequenceSlice, r: int, d: int, residues: dict[int, "np.ndarray"]
-) -> list[int] | None:
-    """A nonzero exact solution of the full (r, d) system, or None if none exists.
+) -> Recurrence | None:
+    """The order-r recurrence of the (r, d) system, or None if it has none.
 
     Per prime of _prime_stream the system is brought to reduced row echelon
     form over the prime field in vectorized int64.  Rank mod p never exceeds
@@ -292,8 +298,17 @@ def _fit(
     zero vector solves the system; the first prime alone rejects most
     candidates this way.  Otherwise the canonical nullspace basis mod p is
     combined across primes by CRT, and after 8, 16, 32, ... combined primes
-    each basis vector is rationally reconstructed.  A reconstruction is
-    returned only once it annihilates every row over the integers.
+    each basis vector is rationally reconstructed.
+
+    The first reconstruction, in basis order, whose top coefficient block
+    is nonzero and which passes verify_recurrence on every term of s is
+    returned.  A vector with a zero top block is a lower-order relation,
+    which the (r' < r, d) candidates scanned before this one already
+    rejected; it is checked only on the order-r rows, the shifts the system
+    sees.  When every basis vector reconstructs and passes there, the
+    vectors span the exact nullspace and all have zero top blocks, so no
+    order-r recurrence exists and None is returned.  Anything else means
+    too few primes, and more are combined.
 
     Pivots mod p never come earlier than the rational ones, so the pivot
     shape to trust is the best seen so far: more pivots first, then the
@@ -306,7 +321,6 @@ def _fit(
     """
     n_cols = (r + 1) * (d + 1)
     best_shape: tuple | None = None
-    rows: list[list[int]] | None = None
     for p in _prime_stream():
         if p not in residues:
             residues[p] = np.array([t % p for t in s.terms], dtype=np.int64)
@@ -332,17 +346,21 @@ def _fit(
         if used < next_attempt:
             continue
         next_attempt *= 2
-        verified = []
+        spans_nullspace = True
         for vector in combined:
             candidate = _reconstruct_vector(vector, modulus)
             if candidate is None:
+                spans_nullspace = False
                 continue
-            if rows is None:
-                rows = _build_rows(s, r, d)
-            if _annihilates(rows, candidate):
-                verified.append(candidate)
-        if verified:
-            return _prefer_leading(verified, d + 1)
+            rec = _vector_to_recurrence(candidate, r, d)
+            # The order-r rows: the shifts at which every (r, d) vector is checked.
+            rows = SequenceSlice(s.offset, s.terms[:len(s.terms) - r + rec.order])
+            if not verify_recurrence(rec, rows).ok:
+                spans_nullspace = False
+            elif rec.order == r:
+                return rec
+        if spans_nullspace:
+            return None  # exact solutions exist, but none has order r
     raise RuntimeError("prime stream exhausted")
 
 
@@ -487,35 +505,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _build_rows(s: SequenceSlice, r: int, d: int) -> list[list[int]]:
-    """One row per usable shift n: entries n^e * s(n+j), e fast, j slow."""
-    rows = []
-    terms = s.terms
-    for i in range(len(terms) - r):
-        n = s.offset + i
-        powers = [1]
-        for _ in range(d):
-            powers.append(powers[-1] * n)
-        rows.append([powers[e] * terms[i + j] for j in range(r + 1) for e in range(d + 1)])
-    return rows
-
-
-def _dot(row: list[int], vector: list[int]) -> int:
-    return sum(a * b for a, b in zip(row, vector) if b)
-
-
-def _annihilates(rows: list[list[int]], vector: list[int]) -> bool:
-    return all(_dot(row, vector) == 0 for row in rows)
-
-
-def _prefer_leading(candidates: list[list[int]], leading_width: int) -> list[int]:
-    """First vector whose top coefficient block is nonzero (usable order)."""
-    for vector in candidates:
-        if any(vector[-leading_width:]):
-            return vector
-    return candidates[0]
 
 
 def _vector_to_recurrence(vector: list[int], r: int, d: int) -> Recurrence:

@@ -175,6 +175,14 @@ class TestTable:
         document = json.loads(out_file.read_text())
         assert document["order"] == 2
 
+    def test_unwritable_recurrence_out_is_usage_error(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "table", "--fixed", "k", "--value", "1", "--upto", "80",
+            "--seed", "40", "--recurrence-out", str(tmp_path / "missing" / "rec.json"),
+        )
+        assert code == 2
+        assert err.startswith("error: cannot write ")
+
     def test_fallback_when_caps_too_small(self, capsys):
         # order-2 target with order capped at 1 cannot be guessed
         code, out, err = run_cli(
@@ -247,6 +255,24 @@ class TestGuessCommand:
         bad = tmp_path / "bad.txt"
         bad.write_text("one two three\n")
         assert run_cli(capsys, "guess", "--terms-file", str(bad))[0] == 2
+
+    def test_non_utf8_file_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"1\n2\n\xff\n")
+        code, _, err = run_cli(capsys, "guess", "--terms-file", str(bad))
+        assert code == 2
+        assert err.startswith("error: cannot read ")
+
+    def test_lower_order_relation_on_broken_tail_is_not_found(self, capsys, tmp_path):
+        terms_file = tmp_path / "broken_tail.txt"
+        terms_file.write_text("".join(f"{2**i}\n" for i in range(30)) + "999\n")
+        code, out, err = run_cli(
+            capsys, "guess", "--terms-file", str(terms_file),
+            "--max-order", "2", "--max-degree", "0",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("not found: ")
 
     def test_bfile_input_autodetected(self, capsys, tmp_path):
         terms_file = tmp_path / "terms_b.txt"

@@ -227,9 +227,9 @@ class TestIntegralityGuard:
         from multiderange.errors import InternalInconsistency
 
         with pytest.raises(InternalInconsistency):
-            _signed_count(Fraction(1, 2), 0)
+            _signed_count(1, 0, 2)  # nonzero remainder
         with pytest.raises(InternalInconsistency):
-            _signed_count(Fraction(3), 1)  # sign flip makes it negative
+            _signed_count(3, 1)  # sign flip makes it negative
 
 
 class TestIntegerCore:

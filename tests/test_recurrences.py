@@ -2,6 +2,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multiderange.counting import classic_derangement
 from multiderange.errors import (
@@ -105,6 +107,45 @@ class TestGuess:
         s = SequenceSlice(0, tuple(terms))
         rec = guess_recurrence(s, 2, 2)
         assert rec.order == 1
+        assert verify_recurrence(rec, s).ok
+
+    def test_lower_order_relation_on_broken_tail_is_not_returned(self):
+        # s(n+1) = 2 s(n) holds on every order-2 row but fails at n = 29;
+        # the (2, 0) system's only solutions have a zero top block.
+        terms = tuple(2**i for i in range(30)) + (999,)
+        with pytest.raises(RecurrenceNotFound):
+            guess_recurrence(SequenceSlice(0, terms), 2, 0)
+
+    @given(
+        family=st.sampled_from(["geometric", "polynomial", "fibonacci"]),
+        a=st.integers(min_value=-5, max_value=5),
+        b=st.integers(min_value=-5, max_value=5),
+        length=st.integers(min_value=16, max_value=34),
+        deltas=st.lists(
+            st.integers(min_value=-1000, max_value=1000).filter(bool),
+            min_size=1, max_size=3,
+        ),
+        max_order=st.integers(min_value=1, max_value=4),
+        max_degree=st.integers(min_value=0, max_value=2),
+    )
+    def test_returned_recurrence_holds_on_its_input(
+        self, family, a, b, length, deltas, max_order, max_degree
+    ):
+        if family == "geometric":
+            terms = [(a or 1) * (b or 2) ** n for n in range(length)]
+        elif family == "polynomial":
+            terms = [a * n * n + b * n + 1 for n in range(length)]
+        else:
+            terms = [a, b]
+            while len(terms) < length:
+                terms.append(terms[-1] + terms[-2])
+        for i, delta in enumerate(deltas):
+            terms[-1 - i] += delta
+        s = SequenceSlice(0, tuple(terms))
+        try:
+            rec = guess_recurrence(s, max_order, max_degree)
+        except (InsufficientData, RecurrenceNotFound):
+            return
         assert verify_recurrence(rec, s).ok
 
 
