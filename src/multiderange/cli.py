@@ -10,14 +10,15 @@ arguments and cached data produces byte-identical output.  Exit codes:
   4  cross-check mismatch
 
 Output formats: plain (one decimal integer per line), bfile (lines
-"n a(n)"), structured (JSON).  Decimal expansions are produced by exact
-long division, never binary floating point.
+"n a(n)"), structured (JSON).  Decimal expansions are correctly rounded
+decimal divisions of the exact fraction, never binary floating point.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,8 +26,7 @@ from .bigint import to_decimal
 from .counting import (
     classic_derangement,
     multiset_derangement,
-    uniform_fixed_k_prefix,
-    uniform_fixed_n_prefix,
+    uniform_prefix,
     wrong_rank_probability,
 )
 from .errors import (
@@ -56,63 +56,23 @@ DECK_MULTISET = (4,) * 13
 
 
 def decimal_approx(value: Fraction, significant: int = 15) -> str:
-    """Decimal rendering to `significant` digits by exact long division.
+    """Decimal rendering to `significant` digits by one correctly rounded
+    decimal division.
 
     Rounds half to even and strips trailing zeros; falls back to scientific
     notation only for leading exponents beyond +-60.
     """
     if value == 0:
         return "0"
-    sign = "-" if value < 0 else ""
-    num, den = abs(value.numerator), value.denominator
-    e = _leading_exponent(num, den)
-    shift = significant - 1 - e
-    if shift >= 0:
-        q, r = divmod(num * 10**shift, den)
-        whole = den
-    else:
-        whole = den * 10 ** (-shift)
-        q, r = divmod(num, whole)
-    if 2 * r > whole or (2 * r == whole and q % 2 == 1):
-        q += 1
-    if q == 10**significant:
-        q //= 10
-        e += 1
-    digits = str(q).rstrip("0") or "0"
-    if 0 <= e <= 60:
-        int_len = e + 1
-        if len(digits) <= int_len:
-            body = digits + "0" * (int_len - len(digits))
-        else:
-            body = digits[:int_len] + "." + digits[int_len:]
-    elif -60 <= e < 0:
-        body = "0." + "0" * (-e - 1) + digits
-    else:
-        mantissa = digits[0] + ("." + digits[1:] if len(digits) > 1 else "")
-        body = f"{mantissa}e{e:+d}"
-    return sign + body
+    context = Context(prec=significant, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    q = context.divide(Decimal(value.numerator), Decimal(value.denominator)).normalize(context)
+    return f"{q:f}" if -60 <= q.adjusted() <= 60 else f"{q:e}"
 
 
 def _fraction_text(value) -> str:
     if value.denominator == 1:
         return to_decimal(value.numerator)
     return f"{to_decimal(value.numerator)}/{to_decimal(value.denominator)}"
-
-
-def _leading_exponent(num: int, den: int) -> int:
-    """e with 10^e <= num/den < 10^(e+1), for positive num/den."""
-
-    def at_least(exp: int) -> bool:
-        if exp >= 0:
-            return num >= den * 10**exp
-        return num * 10 ** (-exp) >= den
-
-    e = len(to_decimal(num)) - len(to_decimal(den))
-    while not at_least(e):
-        e -= 1
-    while at_least(e + 1):
-        e += 1
-    return e
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,6 +158,8 @@ def _int_at_least(low: int):
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "fixed" in args:  # table and oeis-check
+        args.direction = f"fixed_{args.fixed}"
     try:
         return _DISPATCH[args.command](parser, args)
     except MultiDerangeError as exc:
@@ -247,14 +209,13 @@ def _cmd_prob(parser, args) -> int:
 
 
 def _cmd_table(parser, args) -> int:
-    direction = "fixed_k" if args.fixed == "k" else "fixed_n"
     recurrence = None
     if args.direct_only or args.upto < args.seed:
-        terms = _direct_prefix(direction, args.value, args.upto + 1)
+        terms = uniform_prefix(args.direction, args.value, args.upto + 1)
     else:
         try:
             extended, recurrence = guess_and_extend_uniform(
-                direction, args.value, args.seed, args.upto,
+                args.direction, args.value, args.seed, args.upto,
                 max_order=args.max_order, max_degree=args.max_degree,
             )
             terms = list(extended.terms)
@@ -263,7 +224,7 @@ def _cmd_table(parser, args) -> int:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_COMPUTATION
             print(f"guessing failed ({exc}); computing directly", file=sys.stderr)
-            terms = _direct_prefix(direction, args.value, args.upto + 1)
+            terms = uniform_prefix(args.direction, args.value, args.upto + 1)
 
     produced = SequenceSlice(0, tuple(terms))
     if args.format == "structured":
@@ -322,8 +283,7 @@ def _cmd_oeis_check(parser, args) -> int:
         _check_id(args.id)
     except ValueError as exc:
         parser.error(str(exc))
-    direction = "fixed_k" if args.fixed == "k" else "fixed_n"
-    local = SequenceSlice(0, tuple(_direct_prefix(direction, args.value, args.count)))
+    local = SequenceSlice(0, tuple(uniform_prefix(args.direction, args.value, args.count)))
     client = OeisClient(cache_dir=args.cache_dir, online=args.online)
     report = client.cross_check(local, args.id)
     if args.format == "structured":
@@ -361,12 +321,6 @@ def _report_text(report: OeisReport) -> str:
 
 
 # -- shared helpers ----------------------------------------------------------
-
-def _direct_prefix(direction: str, value: int, count: int) -> list[int]:
-    if direction == "fixed_k":
-        return uniform_fixed_k_prefix(value, count)
-    return uniform_fixed_n_prefix(value, count)
-
 
 def _emit_value(fmt: str, *, index: int, value: int, extra: dict) -> None:
     if fmt == "structured":

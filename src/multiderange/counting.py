@@ -124,8 +124,8 @@ def uniform_fixed_k_prefix(k: int, count: int) -> list[int]:
     """[F(0), ..., F(count-1)] where F(n) counts derangements of k^n copies.
 
     Shares one running product (k! * L_k)^n across the prefix.  Each step
-    multiplies it by the short factor k! * L_k as k + 1 shifted scalar
-    multiply-adds; no Kronecker packing is involved.
+    multiplies it by the short factor k! * L_k through `polys.int_mul`,
+    whose dispatch keeps this long x short product in the schoolbook loop.
     """
     short = scaled_laguerre(k)
     scale_step = factorial(k)
@@ -134,13 +134,7 @@ def uniform_fixed_k_prefix(k: int, count: int) -> list[int]:
     scale = 1
     for n in range(count):
         if n:
-            width = len(running)
-            grown = [0] * (width + k)
-            for alpha, c in enumerate(short):
-                grown[alpha:alpha + width] = [
-                    g + c * r for g, r in zip(grown[alpha:alpha + width], running)
-                ]
-            running = grown
+            running = polys.int_mul(running, short)
             scale *= scale_step
         out.append(_signed_count(integer_moment(running), n * k, scale))
     return out
@@ -149,6 +143,19 @@ def uniform_fixed_k_prefix(k: int, count: int) -> list[int]:
 def uniform_fixed_n_prefix(n: int, count: int) -> list[int]:
     """[F(0), ..., F(count-1)] where F(k) counts derangements of k^n copies."""
     return [uniform_count(n, k) for k in range(count)]
+
+
+def uniform_prefix(direction: str, value: int, count: int) -> list[int]:
+    """The first `count` terms of the uniform family along `direction`.
+
+    "fixed_k" runs over the number of symbols n with multiplicity `value`;
+    "fixed_n" runs over the multiplicity k with `value` symbols.
+    """
+    if direction == "fixed_k":
+        return uniform_fixed_k_prefix(value, count)
+    if direction == "fixed_n":
+        return uniform_fixed_n_prefix(value, count)
+    raise ValueError(f"direction must be 'fixed_k' or 'fixed_n', got {direction!r}")
 
 
 def _signed_count(moment: int, total: int, scale: int = 1) -> int:

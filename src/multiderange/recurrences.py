@@ -39,7 +39,7 @@ from math import gcd, isqrt
 import numpy as np
 
 from .bigint import from_decimal, to_decimal
-from .counting import uniform_fixed_k_prefix, uniform_fixed_n_prefix
+from .counting import uniform_prefix
 from .errors import (
     HoldoutMismatch,
     InsufficientData,
@@ -190,20 +190,14 @@ def guess_and_extend_uniform(
 ) -> tuple[SequenceSlice, Recurrence]:
     """Seed with direct counts, guess, check held-out terms, then extend.
 
-    direction "fixed_k" runs over the number of symbols n with multiplicity
-    fixed_value; "fixed_n" runs over the multiplicity k with fixed_value
-    symbols.  The last GUESS_MARGIN (10) seed terms are withheld from the
-    guesser and then checked exactly; a miss raises HoldoutMismatch rather
-    than returning a fit that already failed once.
+    direction and fixed_value select the family as in
+    `counting.uniform_prefix`.  The last GUESS_MARGIN (10) seed terms are
+    withheld from the guesser and then checked exactly; a miss raises
+    HoldoutMismatch rather than returning a fit that already failed once.
     """
-    if direction == "fixed_k":
-        terms = uniform_fixed_k_prefix(fixed_value, seed_count)
-    elif direction == "fixed_n":
-        terms = uniform_fixed_n_prefix(fixed_value, seed_count)
-    else:
-        raise ValueError(f"direction must be 'fixed_k' or 'fixed_n', got {direction!r}")
     if upto < seed_count:
         raise ValueError("upto must reach past the seed terms")
+    terms = uniform_prefix(direction, fixed_value, seed_count)
     seed = SequenceSlice(0, tuple(terms))
     shown = SequenceSlice(0, tuple(terms[:-GUESS_MARGIN]))
     rec = guess_recurrence(shown, max_order, max_degree)
@@ -260,7 +254,7 @@ def _poly_text(pj: tuple[int, ...], variable: str) -> tuple[str, bool]:
     """
     if len(pj) == 1:
         c = pj[0]
-        return ("" if abs(c) == 1 else f"{abs(c)}*", c < 0)
+        return ("" if abs(c) == 1 else f"{to_decimal(abs(c))}*", c < 0)
     negative = all(c <= 0 for c in pj)
     if negative:
         pj = tuple(-c for c in pj)
@@ -270,10 +264,10 @@ def _poly_text(pj: tuple[int, ...], variable: str) -> tuple[str, bool]:
         if not c:
             continue
         if e == 0:
-            body = f"{abs(c)}"
+            body = to_decimal(abs(c))
         else:
             var = variable if e == 1 else f"{variable}^{e}"
-            body = var if abs(c) == 1 else f"{abs(c)}*{var}"
+            body = var if abs(c) == 1 else f"{to_decimal(abs(c))}*{var}"
         if not monomials:
             monomials.append(body if c > 0 else f"-{body}")
         else:

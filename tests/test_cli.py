@@ -3,13 +3,11 @@ import math
 import os
 import subprocess
 import sys
-from decimal import MAX_PREC, Context
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from multiderange import cli
 from multiderange.cli import decimal_approx, main
 from multiderange.counting import classic_derangement, uniform_count
 from multiderange.sequences import SequenceSlice, parse_bfile, parse_terms_file
@@ -36,15 +34,21 @@ class TestDecimalApprox:
 
     def test_rounding(self):
         assert decimal_approx(Fraction(2, 3)) == "0.666666666666667"
+        # exact half-way ties round to the even digit
+        assert decimal_approx(Fraction(1234567890123445, 10**16)) == "0.123456789012344"
+        assert decimal_approx(Fraction(1234567890123455, 10**16)) == "0.123456789012346"
 
     def test_integers(self):
         assert decimal_approx(Fraction(10**20)) == "100000000000000000000"
+        assert decimal_approx(Fraction(10**60)) == "1" + "0" * 60
+        assert decimal_approx(Fraction(10**61)) == "1e+61"
 
     def test_negative(self):
         assert decimal_approx(Fraction(-1, 8)) == "-0.125"
 
     def test_tiny_goes_scientific(self):
         assert decimal_approx(Fraction(1, 10**70)) == "1e-70"
+        assert decimal_approx(Fraction(1, 10**61)) == "1e-61"
 
     def test_fifteen_significant_digits(self):
         assert decimal_approx(Fraction(123456789123456789, 10**18)) == "0.123456789123457"
@@ -351,37 +355,21 @@ class TestDeterminismAndFormats:
         assert [int(v) for v in plain.split()] == list(parse_bfile(bfile).terms)
 
 
-def _limit_free_text(n: int) -> str:
-    return str(Context(prec=MAX_PREC).create_decimal(n))
-
-
-@pytest.fixture
-def default_digit_limit(monkeypatch):
-    """The interpreter's default int -> str cap, as when gmpy2 is installed.
-
-    The cli's text seam gets a conversion that ignores the cap, so any bare
-    str() of a big count in the cli raises ValueError.
-    """
-    previous = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    monkeypatch.setattr(cli, "to_decimal", _limit_free_text)
-    yield
-    sys.set_int_max_str_digits(previous)
-
-
 class TestTextUnderDefaultDigitLimit:
-    def test_prob_plain_with_long_numerator(self, capsys, default_digit_limit):
+    def test_prob_plain_with_long_numerator(self, capsys, default_digit_limit, limit_free_text):
         n = 1700
         expected = Fraction(classic_derangement(n), math.factorial(n))
-        assert len(_limit_free_text(expected.numerator)) > 4300
+        assert len(limit_free_text(expected.numerator)) > 4300
         code, out, _ = run_cli(capsys, "prob", *["1"] * n)
         assert code == 0
         assert out == (
-            f"{_limit_free_text(expected.numerator)}/{_limit_free_text(expected.denominator)}"
+            f"{limit_free_text(expected.numerator)}/{limit_free_text(expected.denominator)}"
             " ≈ 0.367879441171442\n"
         )
 
-    def test_table_structured_with_long_last_term(self, capsys, default_digit_limit):
+    def test_table_structured_with_long_last_term(
+        self, capsys, default_digit_limit, limit_free_text
+    ):
         code, out, _ = run_cli(
             capsys, "table", "--fixed", "k", "--value", "2", "--upto", "1000",
             "--format", "structured",
@@ -389,7 +377,7 @@ class TestTextUnderDefaultDigitLimit:
         assert code == 0
         last = json.loads(out)["terms"][-1]
         assert len(last) > 4300
-        assert last == _limit_free_text(uniform_count(1000, 2))
+        assert last == limit_free_text(uniform_count(1000, 2))
 
 
 class TestSearchCapValidation:

@@ -1,6 +1,7 @@
 import decimal
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -144,9 +145,22 @@ class TestConvolutionPaths:
         assert got == polys._convolve_schoolbook(a, b)
 
     def test_large_product_crosses_cutoff(self):
-        p = poly([Fraction(i - 20, 7) for i in range(40)] + [1])
-        q = poly([Fraction((-1) ** i * i, 3) for i in range(40)] + [1])
+        p = poly([Fraction(i - 20, 7) for i in range(70)] + [1])
+        q = poly([Fraction((-1) ** i * i, 3) for i in range(70)] + [1])
         assert mul(p, q) == naive_mul(p, q)
+
+    def test_shorter_operand_length_picks_kronecker(self, monkeypatch):
+        def refuse(a, b):
+            raise RuntimeError("Kronecker reached")
+
+        monkeypatch.setattr(polys, "_convolve_kronecker", refuse)
+        long, short = [(-1) ** i * (i + 1) for i in range(2000)], [3, -1, 0, 4, 7]
+        square = [i * i - 40 for i in range(63)]
+        assert polys.int_mul(long, short) == polys._convolve_schoolbook(long, short)
+        assert polys.int_mul(short, long) == polys._convolve_schoolbook(long, short)
+        assert polys.int_mul(square, square) == polys._convolve_schoolbook(square, square)
+        with pytest.raises(RuntimeError, match="Kronecker reached"):
+            polys.int_mul(square + [1], square + [1])
 
     def test_integer_core_matches_rational_api(self):
         a, b = [3, -1, 0, 4], [-2, 5]

@@ -242,11 +242,11 @@ class TestGuessAndExtend:
     def test_holdout_mismatch_surfaces(self, monkeypatch):
         # feed the guesser a prefix that looks geometric but breaks inside
         # the held-out tail
-        from multiderange import recurrences
+        from multiderange import counting
 
         poisoned = [2**i for i in range(39)] + [999]
         monkeypatch.setattr(
-            recurrences, "uniform_fixed_k_prefix", lambda k, count: poisoned[:count]
+            counting, "uniform_fixed_k_prefix", lambda k, count: poisoned[:count]
         )
         with pytest.raises(HoldoutMismatch):
             guess_and_extend_uniform("fixed_k", 9, 40, 100)
@@ -280,6 +280,15 @@ class TestSerialization:
             == "s(n+2) - (n + 1)*s(n+1) - (n + 1)*s(n) = 0"
         )
         assert format_recurrence(FACTORIAL_REC) == "s(n+1) - (n + 1)*s(n) = 0"
+
+    def test_rendering_under_default_digit_limit(self, default_digit_limit, limit_free_text):
+        big = 10**5000
+        text = limit_free_text(big)
+        assert format_recurrence(Recurrence(((-big,), (1,)))) == f"s(n+1) - {text}*s(n) = 0"
+        assert (
+            format_recurrence(Recurrence(((big, -1, big), (1,))))
+            == f"s(n+1) + ({text}*n^2 - n + {text})*s(n) = 0"
+        )
 
 
 class TestNormalization:
