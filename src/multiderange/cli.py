@@ -39,9 +39,10 @@ from .oeis import OeisClient, OeisReport, _check_id
 from .recurrences import (
     DEFAULT_MAX_DEGREE,
     DEFAULT_MAX_ORDER,
+    extend_sequence,
     format_recurrence,
-    guess_and_extend_uniform,
     guess_recurrence,
+    guess_uniform,
     recurrence_to_json,
 )
 from .sequences import SequenceSlice, format_bfile, format_plain, parse_terms_file
@@ -209,24 +210,26 @@ def _cmd_prob(parser, args) -> int:
 
 
 def _cmd_table(parser, args) -> int:
-    recurrence = None
-    if args.direct_only or args.upto < args.seed:
-        terms = uniform_prefix(args.direction, args.value, args.upto + 1)
-    else:
+    recurrence = produced = None
+    if not (args.direct_only or args.upto < args.seed):
         try:
-            extended, recurrence = guess_and_extend_uniform(
-                args.direction, args.value, args.seed, args.upto,
+            seed, guessed = guess_uniform(
+                args.direction, args.value, args.seed,
                 max_order=args.max_order, max_degree=args.max_degree,
             )
-            terms = list(extended.terms)
+            # Extended terms stay Decimal through to the text: see extend_sequence.
+            decimal_seed = SequenceSlice(seed.offset, tuple(map(Decimal, seed.terms)))
+            produced = extend_sequence(guessed, decimal_seed, args.upto)
+            recurrence = guessed
         except MultiDerangeError as exc:
             if args.no_fallback:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_COMPUTATION
             print(f"guessing failed ({exc}); computing directly", file=sys.stderr)
-            terms = uniform_prefix(args.direction, args.value, args.upto + 1)
+    if produced is None:
+        terms = uniform_prefix(args.direction, args.value, args.upto + 1)
+        produced = SequenceSlice(0, tuple(terms))
 
-    produced = SequenceSlice(0, tuple(terms))
     if args.format == "structured":
         document = {
             "fixed": args.fixed,

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import localcontext
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -47,6 +48,7 @@ from .errors import (
     NonIntegralStep,
     RecurrenceNotFound,
 )
+from .polys import _EXACT
 from .sequences import SequenceSlice
 
 # Equations beyond unknowns required before a fit may be accepted.
@@ -158,25 +160,62 @@ def extend_sequence(rec: Recurrence, init: SequenceSlice, upto: int) -> Sequence
     Every step divides by the leading coefficient; the division must be
     exact over the integers, and a zero leading value is a singular point
     the caller must seed past.
+
+    New terms have the type of the seed terms: int seeds give ints, and
+    integral Decimal seeds give integral Decimals.  The loop runs in the
+    exact context polys._EXACT, where any rounding traps, and unary plus
+    clears the sign of a zero quotient so it prints as 0.  The `table`
+    command extends a Decimal copy of its seed and prints the terms with
+    str(), which is linear in the digit count; str(int) and int(Decimal)
+    are quadratic in CPython, so those terms never go back to int.  Every
+    function that returns terms to library callers returns ints.
     """
     r = rec.order
     if len(init.terms) < r:
         raise ValueError(f"need at least {r} initial terms, got {len(init.terms)}")
     terms = list(init.terms)
     offset = init.offset
-    while offset + len(terms) <= upto:
-        n = offset + len(terms) - r
-        lead = rec.coefficient(r, n)
-        if lead == 0:
-            raise LeadingCoefficientZero(n)
-        acc = 0
-        for j in range(r):
-            acc += rec.coefficient(j, n) * terms[n - offset + j]
-        quotient, remainder = divmod(-acc, lead)
-        if remainder:
-            raise NonIntegralStep(n)
-        terms.append(quotient)
+    with localcontext(_EXACT):
+        while offset + len(terms) <= upto:
+            n = offset + len(terms) - r
+            lead = rec.coefficient(r, n)
+            if lead == 0:
+                raise LeadingCoefficientZero(n)
+            acc = 0
+            for j in range(r):
+                acc += rec.coefficient(j, n) * terms[n - offset + j]
+            quotient, remainder = divmod(-acc, lead)
+            if remainder:
+                raise NonIntegralStep(n)
+            terms.append(+quotient)
     return SequenceSlice(offset, tuple(terms))
+
+
+def guess_uniform(
+    direction: str,
+    fixed_value: int,
+    seed_count: int,
+    *,
+    max_order: int = DEFAULT_MAX_ORDER,
+    max_degree: int = DEFAULT_MAX_DEGREE,
+) -> tuple[SequenceSlice, Recurrence]:
+    """Seed with direct counts, guess, and check the held-out terms.
+
+    direction and fixed_value select the family as in
+    `counting.uniform_prefix`.  The last GUESS_MARGIN (10) seed terms are
+    withheld from the guesser and then checked exactly; a miss raises
+    HoldoutMismatch rather than returning a fit that already failed once.
+    Returns the seed (int terms, indices 0..seed_count-1) and the
+    recurrence, ready for extend_sequence.
+    """
+    terms = uniform_prefix(direction, fixed_value, seed_count)
+    seed = SequenceSlice(0, tuple(terms))
+    shown = SequenceSlice(0, seed.terms[:-GUESS_MARGIN])
+    rec = guess_recurrence(shown, max_order, max_degree)
+    report = verify_recurrence(rec, seed)
+    if not report.ok:
+        raise HoldoutMismatch(report.failures[0])
+    return seed, rec
 
 
 def guess_and_extend_uniform(
@@ -188,22 +227,12 @@ def guess_and_extend_uniform(
     max_order: int = DEFAULT_MAX_ORDER,
     max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> tuple[SequenceSlice, Recurrence]:
-    """Seed with direct counts, guess, check held-out terms, then extend.
-
-    direction and fixed_value select the family as in
-    `counting.uniform_prefix`.  The last GUESS_MARGIN (10) seed terms are
-    withheld from the guesser and then checked exactly; a miss raises
-    HoldoutMismatch rather than returning a fit that already failed once.
-    """
+    """guess_uniform, then extend the int seed through index upto."""
     if upto < seed_count:
         raise ValueError("upto must reach past the seed terms")
-    terms = uniform_prefix(direction, fixed_value, seed_count)
-    seed = SequenceSlice(0, tuple(terms))
-    shown = SequenceSlice(0, tuple(terms[:-GUESS_MARGIN]))
-    rec = guess_recurrence(shown, max_order, max_degree)
-    report = verify_recurrence(rec, seed)
-    if not report.ok:
-        raise HoldoutMismatch(report.failures[0])
+    seed, rec = guess_uniform(
+        direction, fixed_value, seed_count, max_order=max_order, max_degree=max_degree
+    )
     return extend_sequence(rec, seed, upto), rec
 
 

@@ -1,7 +1,10 @@
 """Offset-tagged integer sequence slices and their text formats.
 
 A slice is a contiguous run of exact integer terms starting at an absolute
-index (the offset).  Two text formats are supported:
+index (the offset).  Terms are ints, except in the `table` command, which
+formats the integral Decimals that recurrences.extend_sequence produced
+from a Decimal seed; bigint.to_decimal renders both.  Two text formats are
+supported:
 
   * plain  - one decimal integer per line;
   * b-file - lines "n a(n)" with a single separating space, consecutive

@@ -8,9 +8,17 @@ from pathlib import Path
 
 import pytest
 
+from multiderange.bigint import to_decimal
 from multiderange.cli import decimal_approx, main
 from multiderange.counting import classic_derangement, uniform_count
-from multiderange.sequences import SequenceSlice, parse_bfile, parse_terms_file
+from multiderange.recurrences import guess_and_extend_uniform, recurrence_to_json
+from multiderange.sequences import (
+    SequenceSlice,
+    format_bfile,
+    format_plain,
+    parse_bfile,
+    parse_terms_file,
+)
 
 D52 = "29672484407795138298279444403649511427278111361911893663894333196201"
 DECK = "1493804444499093354916284290188948031229880469556"
@@ -139,6 +147,12 @@ class TestTable:
     def test_fixed_n_two_is_all_ones(self, capsys):
         _, out, _ = run_cli(capsys, "table", "--fixed", "n", "--value", "2", "--upto", "50")
         assert out.splitlines() == ["1"] * 51
+
+    def test_fixed_n_one_extends_unsigned_zeros(self, capsys):
+        # guessed as s(n+1) = 0; the extended zeros must not print as -0
+        code, out, _ = run_cli(capsys, "table", "--fixed", "n", "--value", "1", "--upto", "100")
+        assert code == 0
+        assert out == "1\n" + "0\n" * 100
 
     def test_franel_bfile_line(self, capsys):
         _, out, _ = run_cli(
@@ -355,6 +369,36 @@ class TestDeterminismAndFormats:
         assert [int(v) for v in plain.split()] == list(parse_bfile(bfile).terms)
 
 
+class TestTableTextMatchesIntTerms:
+    """The table prints its extended terms from Decimals; the text must be
+    exactly that of the int terms guess_and_extend_uniform returns."""
+
+    ARGV = ("table", "--fixed", "k", "--value", "4", "--upto", "300", "--seed", "110")
+
+    @pytest.fixture(scope="class")
+    def int_terms(self):
+        return guess_and_extend_uniform("fixed_k", 4, 110, 300)
+
+    @pytest.mark.parametrize("fmt", ["plain", "bfile", "structured"])
+    def test_same_bytes(self, capsys, int_terms, fmt):
+        extended, rec = int_terms
+        expected = {
+            "plain": format_plain(extended),
+            "bfile": format_bfile(extended),
+            "structured": json.dumps({
+                "fixed": "k",
+                "value": 4,
+                "offset": 0,
+                "terms": [to_decimal(t) for t in extended.terms],
+                "recurrence": json.loads(recurrence_to_json(rec)),
+            }, sort_keys=True) + "\n",
+        }[fmt]
+        code, out, err = run_cli(capsys, *self.ARGV, "--format", fmt)
+        assert code == 0
+        assert out == expected
+        assert err == recurrence_to_json(rec) + "\n"
+
+
 class TestTextUnderDefaultDigitLimit:
     def test_prob_plain_with_long_numerator(self, capsys, default_digit_limit, limit_free_text):
         n = 1700
@@ -376,6 +420,19 @@ class TestTextUnderDefaultDigitLimit:
         )
         assert code == 0
         last = json.loads(out)["terms"][-1]
+        assert len(last) > 4300
+        assert last == limit_free_text(uniform_count(1000, 2))
+
+    @pytest.mark.parametrize("fmt", ["plain", "bfile"])
+    def test_table_text_with_long_last_term(
+        self, capsys, default_digit_limit, limit_free_text, fmt
+    ):
+        code, out, _ = run_cli(
+            capsys, "table", "--fixed", "k", "--value", "2", "--upto", "1000",
+            "--format", fmt,
+        )
+        assert code == 0
+        last = out.splitlines()[-1].split()[-1]
         assert len(last) > 4300
         assert last == limit_free_text(uniform_count(1000, 2))
 

@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import Decimal
 
 import pytest
 from hypothesis import given
@@ -172,43 +173,66 @@ class TestVerify:
 
 
 class TestExtend:
+    """Every case runs on int seeds here and on Decimal seeds in
+    TestExtendDecimal; new terms must have the seed's type."""
+
+    term = int
+
+    def seed(self, *values):
+        return SequenceSlice(0, tuple(self.term(v) for v in values))
+
+    def assert_terms(self, out, expected):
+        assert out.offset == 0
+        assert all(type(t) is self.term for t in out.terms)
+        assert [str(t) for t in out.terms] == [str(v) for v in expected]
+
     def test_factorials(self):
-        out = extend_sequence(FACTORIAL_REC, SequenceSlice(0, (1,)), 5)
-        assert out == SequenceSlice(0, (1, 1, 2, 6, 24, 120))
+        out = extend_sequence(FACTORIAL_REC, self.seed(1), 5)
+        self.assert_terms(out, [1, 1, 2, 6, 24, 120])
 
     def test_derangements_to_ten(self):
         # independent oracle: iterate the inhomogeneous first-order rule
         expected = [1]
         for n in range(10):
             expected.append((n + 1) * expected[n] + (-1) ** (n + 1))
-        out = extend_sequence(DERANGEMENT_REC, SequenceSlice(0, (1, 0)), 10)
-        assert list(out.terms) == expected
+        out = extend_sequence(DERANGEMENT_REC, self.seed(1, 0), 10)
+        self.assert_terms(out, expected)
         assert out.terms[-1] == 1334961
 
     def test_no_new_terms_needed(self):
-        out = extend_sequence(FACTORIAL_REC, SequenceSlice(0, (1, 1, 2)), 2)
-        assert out == SequenceSlice(0, (1, 1, 2))
+        out = extend_sequence(FACTORIAL_REC, self.seed(1, 1, 2), 2)
+        self.assert_terms(out, [1, 1, 2])
+
+    def test_zero_quotient_is_unsigned(self):
+        # s(n) - s(n+1) = 0 divides by -1: an exact Decimal zero quotient
+        # would carry a minus sign and print as -0
+        out = extend_sequence(Recurrence(((1,), (-1,))), self.seed(0), 3)
+        self.assert_terms(out, [0, 0, 0, 0])
 
     def test_leading_zero_singularity(self):
         # (n-5) s(n+1) - 2 (n-5) s(n) = 0: doubling, singular at n = 5
         rec = Recurrence(((10, -2), (-5, 1)))
         with pytest.raises(LeadingCoefficientZero) as info:
-            extend_sequence(rec, SequenceSlice(0, (1,)), 10)
+            extend_sequence(rec, self.seed(1), 10)
         assert info.value.index == 5
 
     def test_non_integral_step(self):
         # 2 s(n+1) - s(n) = 0 forces halving
         rec = Recurrence(((-1,), (2,)))
         with pytest.raises(NonIntegralStep):
-            extend_sequence(rec, SequenceSlice(0, (1,)), 3)
+            extend_sequence(rec, self.seed(1), 3)
 
     def test_too_few_initial_terms(self):
         with pytest.raises(ValueError):
-            extend_sequence(DERANGEMENT_REC, SequenceSlice(0, (1,)), 5)
+            extend_sequence(DERANGEMENT_REC, self.seed(1), 5)
 
     def test_extension_verifies(self):
-        out = extend_sequence(DERANGEMENT_REC, SequenceSlice(0, (1, 0)), 60)
-        assert verify_recurrence(DERANGEMENT_REC, out).ok
+        out = extend_sequence(DERANGEMENT_REC, self.seed(1, 0), 60)
+        assert verify_recurrence(DERANGEMENT_REC, SequenceSlice(0, tuple(map(int, out.terms)))).ok
+
+
+class TestExtendDecimal(TestExtend):
+    term = Decimal
 
 
 class TestGuessAndExtend:
@@ -229,6 +253,8 @@ class TestGuessAndExtend:
 
     def test_returned_recurrence_verifies_on_everything(self):
         ext, rec = guess_and_extend_uniform("fixed_k", 2, 40, 120)
+        # Decimal terms would be checked in the 28-digit default context
+        assert all(type(t) is int for t in ext.terms)
         assert verify_recurrence(rec, ext).ok
 
     def test_unknown_direction(self):
