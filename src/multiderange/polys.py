@@ -15,12 +15,11 @@ Every product goes through one dispatch on the shorter operand's length.
 Below 64 coefficients the schoolbook loop runs, however long the other
 operand is; from 64 up each operand is packed into a single big number
 (Kronecker substitution), so the whole convolution becomes one big-number
-product.  With gmpy2 the operands are packed into byte slots of an mpz and
-GMP multiplies them.  Without it they are packed into zero-padded
-base-10^w slots of a `Decimal`, and libmpdec multiplies them with its
-number-theoretic transform in softly linear time, where CPython's own int
-multiply would be Karatsuba.  Every path is exact and gives identical
-coefficients.  The 64 was measured without gmpy2; see _convolve.
+product: the operands are packed into zero-padded base-10^w slots of a
+`Decimal`, and libmpdec multiplies them with its number-theoretic transform
+in softly linear time, where CPython's own int multiply would be Karatsuba.
+Both paths are exact and give identical coefficients; see _convolve for
+the 64.
 
 Products of many factors are evaluated over a balanced tree: pairing factors
 of similar degree keeps intermediate degrees (and coefficient sizes) small,
@@ -29,25 +28,11 @@ which is what makes thousand-fold products of fixed-degree factors feasible.
 from __future__ import annotations
 
 import math
-from decimal import (
-    MAX_EMAX,
-    MAX_PREC,
-    MIN_EMIN,
-    Context,
-    Decimal,
-    Inexact,
-    InvalidOperation,
-    Rounded,
-)
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .bigint import from_decimal, to_decimal
-
-try:
-    from gmpy2 import mpz as _mpz
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    _mpz = int
+from .bigint import _EXACT, from_decimal, to_decimal
 
 Poly = tuple[Fraction, ...]
 
@@ -57,17 +42,6 @@ ONE: tuple[Fraction, ...] = (Fraction(1),)
 # Products whose shorter operand has fewer coefficients than this run the
 # schoolbook loop; see _convolve.
 _KRONECKER_MIN_LEN = 64
-
-# Exact integer arithmetic on Decimals: any rounding traps.  Decimal
-# operations that take no context argument (abs(), unary minus, ...) round
-# to the calling thread's context, so the decimal path uses only this
-# context's methods and the context-free copy_* methods.
-_EXACT = Context(
-    prec=MAX_PREC,
-    Emax=MAX_EMAX,
-    Emin=MIN_EMIN,
-    traps=[Inexact, Rounded, InvalidOperation],
-)
 
 
 def poly(coeffs: Iterable[Fraction | int]) -> tuple[Fraction, ...]:
@@ -160,8 +134,8 @@ def int_power(p: Sequence[int], e: int) -> Sequence[int]:
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # One test on the shorter operand.  Measured without gmpy2 on products
-    # of Laguerre factors (multiplicities 1-6), schoolbook vs decimal slots:
+    # One test on the shorter operand.  Measured on products of Laguerre
+    # factors (multiplicities 1-6), schoolbook vs decimal slots:
     # square products cross over between 64 and 72 coefficients (60x60:
     # 0.62 vs 0.78 ms; 72x72: 1.18 vs 0.74 ms; 128x128: 5.1 vs 2.5 ms).
     # Long x short products stay in schoolbook, because the packing cost
@@ -169,7 +143,7 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     # 72 ms, and schoolbook still wins at 1025x64 (27 vs 76 ms).
     if min(len(a), len(b)) < _KRONECKER_MIN_LEN:
         return _convolve_schoolbook(a, b)
-    return _convolve_kronecker(a, b)
+    return _convolve_decimal(a, b)
 
 
 def _convolve_schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -186,47 +160,6 @@ def _convolve_schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:
 def _entry_bound(a: Sequence[int], b: Sequence[int]) -> int:
     """Bound on |entry| of the convolution of a and b; 0 if either is zero."""
     return min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
-
-
-def _convolve_bytes(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Convolution via packing into big integers.
-
-    Each operand is split into nonnegative and negative parts, every part is
-    packed into one integer with fixed-width slots, and the four cross
-    products are recombined.  Slot width is chosen so no convolution entry
-    of |a| * |b| can overflow its slot, hence byte slicing recovers the
-    coefficients exactly.
-    """
-    bound = _entry_bound(a, b)
-    if not bound:
-        return [0] * (len(a) + len(b) - 1)
-    width = (bound.bit_length() + 8) // 8 + 1  # bytes per slot, with headroom
-
-    def split(coeffs: Sequence[int]) -> tuple[int, int]:
-        pos = bytearray(width * len(coeffs))
-        neg = bytearray(width * len(coeffs))
-        for i, c in enumerate(coeffs):
-            if c > 0:
-                pos[i * width:(i + 1) * width] = c.to_bytes(width, "little")
-            elif c < 0:
-                neg[i * width:(i + 1) * width] = (-c).to_bytes(width, "little")
-        return int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
-
-    a_pos, a_neg = split(a)
-    b_pos, b_neg = split(b)
-    ap, an, bp, bn = _mpz(a_pos), _mpz(a_neg), _mpz(b_pos), _mpz(b_neg)
-    plus = int(ap * bp + an * bn)
-    minus = int(ap * bn + an * bp)
-
-    n_out = len(a) + len(b) - 1
-    total = width * (n_out + 1)
-    plus_bytes = plus.to_bytes(total, "little")
-    minus_bytes = minus.to_bytes(total, "little")
-    return [
-        int.from_bytes(plus_bytes[k * width:(k + 1) * width], "little")
-        - int.from_bytes(minus_bytes[k * width:(k + 1) * width], "little")
-        for k in range(n_out)
-    ]
 
 
 def _convolve_decimal(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -267,8 +200,3 @@ def _pack_decimal(coeffs: Sequence[int], width: int) -> Decimal:
     pos = "".join(to_decimal(c).zfill(width) if c > 0 else zeros for c in reversed(coeffs))
     neg = "".join(to_decimal(-c).zfill(width) if c < 0 else zeros for c in reversed(coeffs))
     return _EXACT.subtract(Decimal(pos), Decimal(neg))
-
-
-# GMP multiplies packed bytes fast; without it, CPython's int multiply is
-# Karatsuba, and libmpdec's transform multiply on decimal slots is faster.
-_convolve_kronecker = _convolve_decimal if _mpz is int else _convolve_bytes

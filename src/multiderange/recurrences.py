@@ -39,7 +39,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .bigint import from_decimal, to_decimal
+from .bigint import _EXACT, from_decimal, to_decimal
 from .counting import uniform_prefix
 from .errors import (
     HoldoutMismatch,
@@ -48,7 +48,6 @@ from .errors import (
     NonIntegralStep,
     RecurrenceNotFound,
 )
-from .polys import _EXACT
 from .sequences import SequenceSlice
 
 # Equations beyond unknowns required before a fit may be accepted.
@@ -163,7 +162,7 @@ def extend_sequence(rec: Recurrence, init: SequenceSlice, upto: int) -> Sequence
 
     New terms have the type of the seed terms: int seeds give ints, and
     integral Decimal seeds give integral Decimals.  The loop runs in the
-    exact context polys._EXACT, where any rounding traps, and unary plus
+    exact context bigint._EXACT, where any rounding traps, and unary plus
     clears the sign of a zero quotient so it prints as 0.  The `table`
     command extends a Decimal copy of its seed and prints the terms with
     str(), which is linear in the digit count; str(int) and int(Decimal)
@@ -176,12 +175,14 @@ def extend_sequence(rec: Recurrence, init: SequenceSlice, upto: int) -> Sequence
     terms = list(init.terms)
     offset = init.offset
     with localcontext(_EXACT):
+        # A zero of the seed's type, so an order-0 step keeps that type too.
+        zero = terms[0] * 0 if terms else 0
         while offset + len(terms) <= upto:
             n = offset + len(terms) - r
             lead = rec.coefficient(r, n)
             if lead == 0:
                 raise LeadingCoefficientZero(n)
-            acc = 0
+            acc = zero
             for j in range(r):
                 acc += rec.coefficient(j, n) * terms[n - offset + j]
             quotient, remainder = divmod(-acc, lead)
@@ -254,6 +255,8 @@ def recurrence_from_json(text: str) -> Recurrence:
     )
     if len(polys) != document["order"] + 1:
         raise ValueError("order field disagrees with coefficient count")
+    if not polys or not any(polys[-1]):
+        raise ValueError("a recurrence needs a nonzero leading coefficient polynomial")
     return Recurrence(polys)
 
 

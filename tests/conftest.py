@@ -4,8 +4,6 @@ from decimal import MAX_PREC, Context
 import pytest
 from hypothesis import settings
 
-from multiderange import cli, recurrences
-
 settings.register_profile("exact", deadline=None, max_examples=60)
 settings.load_profile("exact")
 
@@ -21,16 +19,13 @@ def limit_free_text():
 
 
 @pytest.fixture
-def default_digit_limit(monkeypatch, limit_free_text):
-    """The interpreter's default int -> str cap, as when gmpy2 is installed.
+def default_digit_limit():
+    """The interpreter's default int <-> str cap of 4300 digits.
 
-    The text seams of cli and recurrences get a conversion that ignores the
-    cap, so any bare str() of a big number in those modules raises
-    ValueError.
+    Only the cap is set: text past it goes through the real bigint seam, and
+    any bare str() or int() of a big number raises ValueError.
     """
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
-    monkeypatch.setattr(cli, "to_decimal", limit_free_text)
-    monkeypatch.setattr(recurrences, "to_decimal", limit_free_text)
     yield
     sys.set_int_max_str_digits(previous)

@@ -209,6 +209,11 @@ class TestExtend:
         out = extend_sequence(Recurrence(((1,), (-1,))), self.seed(0), 3)
         self.assert_terms(out, [0, 0, 0, 0])
 
+    def test_order_zero_keeps_seed_type(self):
+        # no term enters an order-0 step, so the sum starts from the seed's zero
+        out = extend_sequence(Recurrence(((1,),)), self.seed(5), 3)
+        self.assert_terms(out, [5, 0, 0, 0])
+
     def test_leading_zero_singularity(self):
         # (n-5) s(n+1) - 2 (n-5) s(n) = 0: doubling, singular at n = 5
         rec = Recurrence(((10, -2), (-5, 1)))
@@ -299,6 +304,15 @@ class TestSerialization:
     def test_inconsistent_document_rejected(self):
         with pytest.raises(ValueError):
             recurrence_from_json('{"order": 3, "variable": "n", "coeff_polys": [["1"]]}')
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            recurrence_from_json('{"order": -1, "coeff_polys": []}')
+
+    @pytest.mark.parametrize("top", ["[]", '["0"]', '["0", "0"]'])
+    def test_zero_leading_polynomial_rejected(self, top):
+        with pytest.raises(ValueError):
+            recurrence_from_json(f'{{"order": 1, "coeff_polys": [["1"], {top}]}}')
 
     def test_rendering(self):
         assert (
