@@ -8,13 +8,23 @@ pairs are tried in increasing order+degree, and a candidate is accepted only
 when its homogeneous system over all usable shifts is overdetermined by a
 fixed margin and has a solution of the candidate's order.
 
-One exact solver decides every candidate.  It reduces the system mod a
-descending stream of 31-bit primes.  A prime with full column rank proves
-the system has no solution; otherwise nullspace vectors are combined across
-primes by CRT and rationally reconstructed.  Rank and pivot columns mod p
-can only be worse than over the rationals, never better, so only primes
-with the best pivot shape seen so far are combined: more pivots first, then
-earlier pivot columns.
+Rank mod p never exceeds the rational rank, so a prime with full column
+rank proves a system has no solution.  The rows of an (r, d) system depend
+only on r, so one screen per order decides most candidates: the first time
+the scan reaches order r, the system of the largest feasible degree is
+brought to RREF mod the first prime with degree-major columns, and each
+(r, d) system is a leading column block of it.  Its rank mod that prime is
+the number of pivots left of the block boundary, and a candidate with full
+rank there is rejected without a fit.
+
+One exact solver decides every other candidate.  It reduces the system mod
+a descending stream of 31-bit primes, again rejecting on full column rank;
+otherwise nullspace vectors are combined across primes by CRT and
+rationally reconstructed once a probe coordinate reconstructs to the same
+fraction at two consecutive moduli.  Rank and pivot columns mod p can only
+be worse than over the rationals, never better, so only primes with the
+best pivot shape seen so far are combined: more pivots first, then earlier
+pivot columns.
 
 One exact check accepts: a reconstructed vector is returned only as a
 recurrence of the candidate's order (nonzero top coefficient block) that
@@ -32,6 +42,8 @@ Guessed recurrences are empirical: they are verified, never certified.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import localcontext
 from fractions import Fraction
@@ -58,13 +70,10 @@ GUESS_MARGIN = 10
 DEFAULT_MAX_ORDER = 12
 DEFAULT_MAX_DEGREE = 12
 
-# First prime of every fit, so a single rank check mod this prime rejects
-# most candidates.  2^31 - 1 is prime and its squares fit comfortably in int64.
+# The prime of the per-order screen and the first prime of every fit.  One
+# RREF mod this prime per order rejects most candidates of that order.
+# 2^31 - 1 is prime and its squares fit comfortably in int64.
 _FIRST_PRIME = (1 << 31) - 1
-
-# Primes combined before the first reconstruction attempt; each later attempt
-# waits for twice as many.  Each prime adds ~9 digits to the CRT modulus.
-_FIRST_ROUND = 8
 
 
 @dataclass(frozen=True)
@@ -109,6 +118,12 @@ def guess_recurrence(
     (order+1)*(degree+1) + order + GUESS_MARGIN terms; if no candidate has
     that much data, InsufficientData reports the smallest workable count.
     Raises RecurrenceNotFound when the whole grid is exhausted.
+
+    The first time the scan reaches an order, _order_screen reduces that
+    order's system of the largest feasible degree mod the first prime, once.
+    A candidate whose column block has full rank there is rejected without
+    a fit; column order does not change rank, so exactly the candidates
+    whose fit would reject on the first prime are skipped.
     """
     if max_order < 1 or max_degree < 0:
         raise ValueError("search caps must allow order >= 1, degree >= 0")
@@ -128,8 +143,17 @@ def guess_recurrence(
         raise InsufficientData(
             min(_terms_needed(r, d) for r, d in candidates), length
         )
-    residues: dict[int, np.ndarray] = {}
+    top_degree: dict[int, int] = {}
     for r, d in feasible:
+        top_degree[r] = max(d, top_degree.get(r, d))
+    residues: dict[int, np.ndarray] = {}
+    screens: dict[int, tuple[int, ...]] = {}
+    for r, d in feasible:
+        if r not in screens:
+            screens[r] = _order_screen(s, r, top_degree[r], residues)
+        n_cols = (r + 1) * (d + 1)
+        if bisect_left(screens[r], n_cols) == n_cols:
+            continue  # full column rank mod the first prime: no solution
         rec = _fit(s, r, d, residues)
         if rec is not None:
             return rec
@@ -257,7 +281,7 @@ def recurrence_from_json(text: str) -> Recurrence:
         raise ValueError("order field disagrees with coefficient count")
     if not polys or not any(polys[-1]):
         raise ValueError("a recurrence needs a nonzero leading coefficient polynomial")
-    return Recurrence(polys)
+    return _normalized(polys)
 
 
 def format_recurrence(rec: Recurrence, variable: str = "n", name: str = "s") -> str:
@@ -321,20 +345,29 @@ def _fit(
     Per prime of _prime_stream the system is brought to reduced row echelon
     form over the prime field in vectorized int64.  Rank mod p never exceeds
     the rational rank, so full column rank mod p certifies that only the
-    zero vector solves the system; the first prime alone rejects most
-    candidates this way.  Otherwise the canonical nullspace basis mod p is
-    combined across primes by CRT, and after 8, 16, 32, ... combined primes
-    each basis vector is rationally reconstructed.
+    zero vector solves the system.  Otherwise the canonical nullspace basis
+    mod p is combined across primes by CRT.
 
-    The first reconstruction, in basis order, whose top coefficient block
-    is nonzero and which passes verify_recurrence on every term of s is
-    returned.  A vector with a zero top block is a lower-order relation,
-    which the (r' < r, d) candidates scanned before this one already
-    rejected; it is checked only on the order-r rows, the shifts the system
-    sees.  When every basis vector reconstructs and passes there, the
-    vectors span the exact nullspace and all have zero top blocks, so no
-    order-r recurrence exists and None is returned.  Anything else means
-    too few primes, and more are combined.
+    After each combined prime one probe coordinate is rationally
+    reconstructed.  Only when it gives the same fraction at two consecutive
+    moduli is the whole basis reconstructed, vector by vector in basis
+    order, up to the first vector that fails.  A coordinate with no
+    reconstruction becomes the new probe, so an attempt waits for the
+    coordinate that stopped the last one.  The rule only decides when to
+    attempt: acceptance is unchanged, and once enough primes are combined
+    the probe stays stable and attempts come at every prime.
+
+    A reconstructed vector whose top coefficient block is nonzero and which
+    passes verify_recurrence on every term of s is returned.  A vector with
+    a zero top block is a lower-order relation, which the (r' < r, d)
+    candidates scanned before this one already rejected; it is checked only
+    on the order-r rows, the shifts the system sees.  When every basis
+    vector reconstructs and passes there, the vectors span the exact
+    nullspace and all have zero top blocks, so no order-r recurrence exists
+    and None is returned.  Anything else means too few primes, and more are
+    combined.  Since an attempt never passes over a failed vector, the
+    vector returned is the first order-r vector of the rational basis,
+    however many primes it took.
 
     Pivots mod p never come earlier than the rational ones, so the pivot
     shape to trust is the best seen so far: more pivots first, then the
@@ -348,9 +381,7 @@ def _fit(
     n_cols = (r + 1) * (d + 1)
     best_shape: tuple | None = None
     for p in _prime_stream():
-        if p not in residues:
-            residues[p] = np.array([t % p for t in s.terms], dtype=np.int64)
-        matrix = _modp_matrix(residues[p], s.offset, r, d, p)
+        matrix = _modp_matrix(_terms_mod(s, p, residues), s.offset, r, d, p)
         pivots = _rref_mod_p(matrix, p)
         if len(pivots) == n_cols:
             return None  # full rank mod p: certified trivial nullspace
@@ -361,33 +392,59 @@ def _fit(
         if shape != best_shape:
             best_shape = shape
             combined, modulus = basis, p
-            used, next_attempt = 1, _FIRST_ROUND
+            probe, settled = (0, 0), None
         else:
             combined = [
                 _crt_merge(old, modulus, new, p)
                 for old, new in zip(combined, basis)
             ]
             modulus *= p
-            used += 1
-        if used < next_attempt:
+        value = _rational_reconstruct(combined[probe[0]][probe[1]], modulus)
+        stable = value is not None and value == settled
+        settled = value
+        if not stable:
             continue
-        next_attempt *= 2
-        spans_nullspace = True
-        for vector in combined:
-            candidate = _reconstruct_vector(vector, modulus)
-            if candidate is None:
-                spans_nullspace = False
-                continue
-            rec = _vector_to_recurrence(candidate, r, d)
+        for i, vector in enumerate(combined):
+            fractions = _reconstruct_vector(vector, modulus)
+            if len(fractions) < n_cols:
+                probe, settled = (i, len(fractions)), None
+                break
+            rec = _vector_to_recurrence(_clear_denominators(fractions), r, d)
             # The order-r rows: the shifts at which every (r, d) vector is checked.
             rows = SequenceSlice(s.offset, s.terms[:len(s.terms) - r + rec.order])
             if not verify_recurrence(rec, rows).ok:
-                spans_nullspace = False
-            elif rec.order == r:
+                break
+            if rec.order == r:
                 return rec
-        if spans_nullspace:
+        else:
             return None  # exact solutions exist, but none has order r
     raise RuntimeError("prime stream exhausted")
+
+
+def _order_screen(
+    s: SequenceSlice, r: int, top_degree: int, residues: dict[int, "np.ndarray"]
+) -> tuple[int, ...]:
+    """Pivot columns of the (r, top_degree) system mod _FIRST_PRIME, with
+    degree-major columns: column e*(r+1) + j holds n^e * s(n+j).
+
+    The rows depend only on r, so for every d <= top_degree the (r, d)
+    system is, up to a column permutation, the leading (r+1)*(d+1) columns
+    of this matrix, and its rank mod the first prime is the number of
+    pivots left of that boundary.
+    """
+    matrix = _modp_matrix(
+        _terms_mod(s, _FIRST_PRIME, residues), s.offset, r, top_degree, _FIRST_PRIME
+    )
+    n_rows = matrix.shape[0]
+    degree_major = matrix.reshape(n_rows, r + 1, top_degree + 1).transpose(0, 2, 1)
+    return _rref_mod_p(degree_major.reshape(n_rows, -1), _FIRST_PRIME)
+
+
+def _terms_mod(s: SequenceSlice, p: int, residues: dict[int, "np.ndarray"]) -> "np.ndarray":
+    """The terms of s reduced mod p, computed once per prime into residues."""
+    if p not in residues:
+        residues[p] = np.array([t % p for t in s.terms], dtype=np.int64)
+    return residues[p]
 
 
 def _modp_matrix(terms_mod: "np.ndarray", offset: int, r: int, d: int, p: int) -> "np.ndarray":
@@ -459,15 +516,16 @@ def _crt_merge(combined: list[int], modulus: int, vector: list[int], p: int) -> 
     return [c + modulus * ((v - c) * inverse % p) for c, v in zip(combined, vector)]
 
 
-def _reconstruct_vector(combined: list[int], modulus: int) -> list[int] | None:
-    """Rational reconstruction of every coordinate, cleared to coprime ints."""
+def _reconstruct_vector(combined: list[int], modulus: int) -> list[Fraction]:
+    """Rational reconstructions of the coordinates in order, up to the first
+    that has none; the result is shorter than combined exactly then."""
     fractions = []
     for value in combined:
         fraction = _rational_reconstruct(value, modulus)
         if fraction is None:
-            return None
+            break
         fractions.append(fraction)
-    return _clear_to_coprime(fractions)
+    return fractions
 
 
 def _rational_reconstruct(value: int, modulus: int) -> Fraction | None:
@@ -484,15 +542,11 @@ def _rational_reconstruct(value: int, modulus: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _clear_to_coprime(values: list[Fraction]) -> list[int]:
+def _clear_denominators(values: list[Fraction]) -> list[int]:
     common = 1
     for v in values:
         common = common * v.denominator // gcd(common, v.denominator)
-    ints = [int(v * common) for v in values]
-    content = 0
-    for v in ints:
-        content = gcd(content, v)
-    return [v // content for v in ints] if content else ints
+    return [int(v * common) for v in values]
 
 
 def _prime_stream():
@@ -535,15 +589,24 @@ def _is_prime(n: int) -> bool:
 
 def _vector_to_recurrence(vector: list[int], r: int, d: int) -> Recurrence:
     width = d + 1
-    polys = []
-    for j in range(r + 1):
-        coeffs = vector[j * width:(j + 1) * width]
+    return _normalized(vector[j * width:(j + 1) * width] for j in range(r + 1))
+
+
+def _normalized(polys: Iterable[Iterable[int]]) -> Recurrence:
+    """The Recurrence of these coefficient polynomials, normalized.
+
+    Trailing zero coefficients and zero top polynomials are stripped, the
+    content is divided out, and the leading sign is made positive.
+    """
+    lists = []
+    for pj in polys:
+        coeffs = list(pj)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
-        polys.append(tuple(coeffs))
-    while len(polys) > 1 and not polys[-1]:
-        polys.pop()
-    leading = polys[-1]
-    if leading and leading[-1] < 0:
-        polys = [tuple(-c for c in pj) for pj in polys]
-    return Recurrence(tuple(polys))
+        lists.append(coeffs)
+    while len(lists) > 1 and not lists[-1]:
+        lists.pop()
+    content = gcd(*(c for coeffs in lists for c in coeffs)) or 1
+    if lists[-1] and lists[-1][-1] < 0:
+        content = -content
+    return Recurrence(tuple(tuple(c // content for c in coeffs) for coeffs in lists))

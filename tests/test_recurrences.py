@@ -1,12 +1,15 @@
 import json
 import math
 from decimal import Decimal
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from multiderange.counting import classic_derangement
+from multiderange import recurrences
+from multiderange.counting import classic_derangement, uniform_prefix
 from multiderange.errors import (
     HoldoutMismatch,
     InsufficientData,
@@ -15,6 +18,9 @@ from multiderange.errors import (
     RecurrenceNotFound,
 )
 from multiderange.recurrences import (
+    DEFAULT_MAX_DEGREE,
+    DEFAULT_MAX_ORDER,
+    GUESS_MARGIN,
     Recurrence,
     extend_sequence,
     format_recurrence,
@@ -148,6 +154,99 @@ class TestGuess:
         except (InsufficientData, RecurrenceNotFound):
             return
         assert verify_recurrence(rec, s).ok
+
+
+# Guesser output for the uniform families, recorded before the per-order
+# screen and the stabilised prime count went in: key "direction/value/seed",
+# value the recurrence JSON or the name of the exception raised.
+FAMILY_GUESSES = json.loads(
+    (Path(__file__).parent / "data" / "family_guesses.json").read_text()
+)
+
+
+@pytest.fixture(scope="module")
+def family_prefixes():
+    """direction/value -> the longest seed prefix any pinned case uses."""
+    longest: dict[tuple[str, str], int] = {}
+    for key in FAMILY_GUESSES:
+        direction, value, seed = key.split("/")
+        longest[direction, value] = max(longest.get((direction, value), 0), int(seed))
+    return {
+        f"{direction}/{value}": uniform_prefix(direction, int(value), count)
+        for (direction, value), count in longest.items()
+    }
+
+
+class TestPinnedGuesses:
+    """The guess input is the seed minus GUESS_MARGIN held-out terms, as
+    `table` guesses, with the default search caps."""
+
+    @pytest.mark.parametrize("key", sorted(FAMILY_GUESSES))
+    def test_family_guess_is_unchanged(self, key, family_prefixes):
+        direction, value, seed = key.split("/")
+        terms = family_prefixes[f"{direction}/{value}"][:int(seed) - GUESS_MARGIN]
+        try:
+            rec = guess_recurrence(
+                SequenceSlice(0, tuple(terms)), DEFAULT_MAX_ORDER, DEFAULT_MAX_DEGREE
+            )
+        except (InsufficientData, RecurrenceNotFound) as exc:
+            assert type(exc).__name__ == FAMILY_GUESSES[key]
+        else:
+            assert recurrence_to_json(rec) == FAMILY_GUESSES[key]
+
+    def test_one_screen_per_order_and_one_fit(self, family_prefixes, monkeypatch):
+        # fixed k = 4 at seed 110 is accepted at order 6, degree 7
+        screened, fitted = [], []
+        screen, fit = recurrences._order_screen, recurrences._fit
+
+        def counting_screen(s, r, top_degree, residues):
+            screened.append(r)
+            return screen(s, r, top_degree, residues)
+
+        def counting_fit(s, r, d, residues):
+            fitted.append((r, d))
+            return fit(s, r, d, residues)
+
+        monkeypatch.setattr(recurrences, "_order_screen", counting_screen)
+        monkeypatch.setattr(recurrences, "_fit", counting_fit)
+        terms = family_prefixes["fixed_k/4"][:110 - GUESS_MARGIN]
+        rec = guess_recurrence(
+            SequenceSlice(0, tuple(terms)), DEFAULT_MAX_ORDER, DEFAULT_MAX_DEGREE
+        )
+        assert sorted(screened) == list(range(1, DEFAULT_MAX_ORDER + 1))
+        assert rec.order == 6
+        assert fitted == [(6, 7)]
+
+
+def rank_mod_first_prime(terms_mod, offset, r, d):
+    p = recurrences._FIRST_PRIME
+    return len(recurrences._rref_mod_p(recurrences._modp_matrix(terms_mod, offset, r, d, p), p))
+
+
+class TestOrderScreen:
+    @given(
+        terms=st.one_of(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=6, max_size=30),
+            st.lists(st.integers(min_value=-10**30, max_value=10**30), min_size=6, max_size=30),
+            st.builds(
+                lambda a, b, c, length: [a * b**n + c * n * n for n in range(length)],
+                st.integers(-5, 5), st.integers(-3, 3), st.integers(-5, 5),
+                st.integers(min_value=6, max_value=30),
+            ),
+        ),
+        offset=st.integers(min_value=0, max_value=5),
+    )
+    def test_block_rank_equals_candidate_rank(self, terms, offset):
+        s = SequenceSlice(offset, tuple(terms))
+        p = recurrences._FIRST_PRIME
+        terms_mod = np.array([t % p for t in terms], dtype=np.int64)
+        for r in range(1, 5):
+            pivots = recurrences._order_screen(s, r, 3, {})
+            for d in range(4):
+                boundary = (r + 1) * (d + 1)
+                assert sum(c < boundary for c in pivots) == rank_mod_first_prime(
+                    terms_mod, offset, r, d
+                )
 
 
 class TestVerify:
@@ -313,6 +412,15 @@ class TestSerialization:
     def test_zero_leading_polynomial_rejected(self, top):
         with pytest.raises(ValueError):
             recurrence_from_json(f'{{"order": 1, "coeff_polys": [["1"], {top}]}}')
+
+    @pytest.mark.parametrize(
+        "polys",
+        ['[["-2", "0"], ["2"]]', '[["3"], ["-3", "0", "0"]]', '[["-1"], ["1"]]'],
+    )
+    def test_loaded_document_is_normalized(self, polys):
+        rec = recurrence_from_json(f'{{"order": 1, "coeff_polys": {polys}}}')
+        assert rec == Recurrence(((-1,), (1,)))
+        assert format_recurrence(rec) == "s(n+1) - s(n) = 0"
 
     def test_rendering(self):
         assert (
