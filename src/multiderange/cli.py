@@ -6,16 +6,22 @@ arguments and cached data produces byte-identical output.  Exit codes:
   0  success (including an offline cross-check verdict)
   2  usage error (bad flags, malformed ids, unreadable term files,
      an unwritable --recurrence-out path)
-  3  computation error (search exhausted, oracle bound exceeded, ...)
+  3  computation error (search exhausted, oracle bound exceeded, a malformed
+     or non-UTF-8 cached b-file, ...)
   4  cross-check mismatch
 
 Output formats: plain (one decimal integer per line), bfile (lines
 "n a(n)"), structured (JSON).  Decimal expansions are correctly rounded
 decimal divisions of the exact fraction, never binary floating point.
+
+`build_parser` declares the whole command line and builds it once per
+process, on first use; every `main` call shares it, so handlers must not
+mutate the parser or its defaults, and every default is immutable.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
@@ -76,7 +82,9 @@ def _fraction_text(value) -> str:
     return f"{to_decimal(value.numerator)}/{to_decimal(value.denominator)}"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command line, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="multiderange",
         description="Exact derangement counts of multisets, sequence tables, "
@@ -87,17 +95,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("derange", help="count derangements of n distinct items")
     p.add_argument("n", type=_int_at_least(0))
     _add_format(p)
+    p.set_defaults(run=_cmd_derange)
 
     p = sub.add_parser("multi", help="count derangements of a multiset")
     p.add_argument("multiplicities", type=_int_at_least(1), nargs="+", metavar="a")
     _add_format(p)
+    p.set_defaults(run=_cmd_multi)
 
     p = sub.add_parser("deck", help="shortcut for 'multi 4 ... 4' (13 fours)")
     _add_format(p)
+    p.set_defaults(run=_cmd_multi, multiplicities=DECK_MULTISET)
 
     p = sub.add_parser("prob", help="exact probability that nothing stays in place")
     p.add_argument("multiplicities", type=_int_at_least(1), nargs="+", metavar="a")
     p.add_argument("--format", choices=["plain", "structured"], default="plain")
+    p.set_defaults(run=_cmd_prob)
 
     p = sub.add_parser("table", help="emit a row or column of the uniform family")
     p.add_argument("--fixed", choices=["k", "n"], required=True,
@@ -114,14 +126,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the guessed recurrence here instead of stderr")
     _add_search_caps(p)
     _add_format(p)
+    p.set_defaults(run=_cmd_table)
 
     p = sub.add_parser("guess", help="fit a recurrence to a file of terms")
     p.add_argument("--terms-file", type=Path, required=True,
                    help="plain (one integer per line) or b-file, auto-detected")
     _add_search_caps(p)
+    p.set_defaults(run=_cmd_guess)
 
     p = sub.add_parser("oeis-check", help="compare local terms against OEIS data")
-    p.add_argument("--id", required=True, metavar="A######")
+    p.add_argument("--id", type=_sequence_id, required=True, metavar="A######")
     p.add_argument("--fixed", choices=["k", "n"], required=True)
     p.add_argument("--value", type=_int_at_least(0), required=True)
     p.add_argument("--count", type=_int_at_least(1), required=True,
@@ -130,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="allow fetching from the network when not cached")
     p.add_argument("--cache-dir", type=Path, default=None)
     p.add_argument("--format", choices=["plain", "structured"], default="plain")
+    p.set_defaults(run=_cmd_oeis_check)
 
     return parser
 
@@ -156,13 +171,19 @@ def _int_at_least(low: int):
     return parse
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if "fixed" in args:  # table and oeis-check
-        args.direction = f"fixed_{args.fixed}"
+def _sequence_id(text: str) -> str:
+    """argparse type: an OEIS id, so a malformed one is a usage error."""
     try:
-        return _DISPATCH[args.command](parser, args)
+        _check_id(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return text
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        return args.run(args)
     except MultiDerangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
@@ -174,27 +195,20 @@ def run() -> None:
 
 # -- command handlers --------------------------------------------------------
 
-def _cmd_derange(parser, args) -> int:
+def _cmd_derange(args) -> int:
     _emit_value(args.format, index=args.n, value=classic_derangement(args.n),
                 extra={"n": args.n})
     return EXIT_OK
 
 
-def _cmd_multi(parser, args) -> int:
+def _cmd_multi(args) -> int:
     count = multiset_derangement(tuple(args.multiplicities))
     _emit_value(args.format, index=len(args.multiplicities), value=count.value,
                 extra={"multiset": list(args.multiplicities)})
     return EXIT_OK
 
 
-def _cmd_deck(parser, args) -> int:
-    count = multiset_derangement(DECK_MULTISET)
-    _emit_value(args.format, index=len(DECK_MULTISET), value=count.value,
-                extra={"multiset": list(DECK_MULTISET)})
-    return EXIT_OK
-
-
-def _cmd_prob(parser, args) -> int:
+def _cmd_prob(args) -> int:
     probability = wrong_rank_probability(tuple(args.multiplicities))
     decimal = decimal_approx(probability)
     if args.format == "structured":
@@ -209,12 +223,13 @@ def _cmd_prob(parser, args) -> int:
     return EXIT_OK
 
 
-def _cmd_table(parser, args) -> int:
+def _cmd_table(args) -> int:
+    direction = f"fixed_{args.fixed}"
     recurrence = produced = None
     if not (args.direct_only or args.upto < args.seed):
         try:
             seed, guessed = guess_uniform(
-                args.direction, args.value, args.seed,
+                direction, args.value, args.seed,
                 max_order=args.max_order, max_degree=args.max_degree,
             )
             # Extended terms stay Decimal through to the text: see extend_sequence.
@@ -223,26 +238,22 @@ def _cmd_table(parser, args) -> int:
             recurrence = guessed
         except MultiDerangeError as exc:
             if args.no_fallback:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_COMPUTATION
+                raise
             print(f"guessing failed ({exc}); computing directly", file=sys.stderr)
     if produced is None:
-        terms = uniform_prefix(args.direction, args.value, args.upto + 1)
+        terms = uniform_prefix(direction, args.value, args.upto + 1)
         produced = SequenceSlice(0, tuple(terms))
 
     if args.format == "structured":
-        document = {
+        _print_json({
             "fixed": args.fixed,
             "value": args.value,
             "offset": 0,
             "terms": [to_decimal(t) for t in produced.terms],
             "recurrence": json.loads(recurrence_to_json(recurrence)) if recurrence else None,
-        }
-        _print_json(document)
-    elif args.format == "bfile":
-        sys.stdout.write(format_bfile(produced))
+        })
     else:
-        sys.stdout.write(format_plain(produced))
+        _write_terms(args.format, produced)
 
     if recurrence is not None:
         serialized = recurrence_to_json(recurrence)
@@ -257,7 +268,7 @@ def _cmd_table(parser, args) -> int:
     return EXIT_OK
 
 
-def _cmd_guess(parser, args) -> int:
+def _cmd_guess(args) -> int:
     try:
         text = args.terms_file.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -281,12 +292,9 @@ def _cmd_guess(parser, args) -> int:
     return EXIT_OK
 
 
-def _cmd_oeis_check(parser, args) -> int:
-    try:
-        _check_id(args.id)
-    except ValueError as exc:
-        parser.error(str(exc))
-    local = SequenceSlice(0, tuple(uniform_prefix(args.direction, args.value, args.count)))
+def _cmd_oeis_check(args) -> int:
+    direction = f"fixed_{args.fixed}"
+    local = SequenceSlice(0, tuple(uniform_prefix(direction, args.value, args.count)))
     client = OeisClient(cache_dir=args.cache_dir, online=args.online)
     report = client.cross_check(local, args.id)
     if args.format == "structured":
@@ -327,25 +335,15 @@ def _report_text(report: OeisReport) -> str:
 
 def _emit_value(fmt: str, *, index: int, value: int, extra: dict) -> None:
     if fmt == "structured":
-        document = dict(extra)
-        document["value"] = to_decimal(value)
-        _print_json(document)
-    elif fmt == "bfile":
-        sys.stdout.write(f"{index} {to_decimal(value)}\n")
+        _print_json({**extra, "value": to_decimal(value)})
     else:
-        sys.stdout.write(f"{to_decimal(value)}\n")
+        _write_terms(fmt, SequenceSlice(index, (value,)))
+
+
+def _write_terms(fmt: str, terms: SequenceSlice) -> None:
+    sys.stdout.write(format_bfile(terms) if fmt == "bfile" else format_plain(terms))
 
 
 def _print_json(document: dict) -> None:
     sys.stdout.write(json.dumps(document, sort_keys=True) + "\n")
 
-
-_DISPATCH = {
-    "derange": _cmd_derange,
-    "multi": _cmd_multi,
-    "deck": _cmd_deck,
-    "prob": _cmd_prob,
-    "table": _cmd_table,
-    "guess": _cmd_guess,
-    "oeis-check": _cmd_oeis_check,
-}

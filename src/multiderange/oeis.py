@@ -23,7 +23,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable
 
-from .errors import NetworkUnavailable, UnknownSequence
+from .errors import NetworkUnavailable, SequenceParseError, UnknownSequence
 from .sequences import SequenceSlice, parse_bfile
 
 _ID_PATTERN = re.compile(r"\AA\d{6}\Z")
@@ -81,10 +81,12 @@ class OeisClient:
         _check_id(sequence_id)
         cache_file = self.cache_dir / _bfile_name(sequence_id)
         if cache_file.is_file():
-            return parse_bfile(cache_file.read_text())
-        bundled = _bundled_bfile(sequence_id)
-        if bundled is not None:
-            return parse_bfile(bundled)
+            return _read_bfile(cache_file)
+        bundled = resources.files("multiderange").joinpath(
+            "data", "oeis", _bfile_name(sequence_id)
+        )
+        if bundled.is_file():
+            return _read_bfile(bundled)
         if not self.online:
             raise NetworkUnavailable(
                 f"{sequence_id} is not cached and network access is disabled"
@@ -129,7 +131,7 @@ class OeisClient:
     def _write_cache(self, cache_file: Path, text: str) -> None:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = cache_file.with_suffix(".tmp")
-        tmp.write_text(text)
+        tmp.write_text(text, encoding="utf-8")
         os.replace(tmp, cache_file)  # readers never see partial files
 
 
@@ -142,13 +144,13 @@ def _bfile_name(sequence_id: str) -> str:
     return f"b{sequence_id[1:]}.txt"
 
 
-def _bundled_bfile(sequence_id: str) -> str | None:
-    candidate = resources.files("multiderange").joinpath(
-        "data", "oeis", _bfile_name(sequence_id)
-    )
-    if candidate.is_file():
-        return candidate.read_text()
-    return None
+def _read_bfile(source) -> SequenceSlice:
+    """Parse a cached or bundled b-file; text that is not UTF-8 is malformed."""
+    try:
+        text = source.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SequenceParseError(f"{source}: not UTF-8 ({exc})") from exc
+    return parse_bfile(text)
 
 
 def _http_get(url: str, timeout: float) -> str:

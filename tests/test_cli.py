@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from multiderange.bigint import to_decimal
-from multiderange.cli import decimal_approx, main
+from multiderange.cli import build_parser, decimal_approx, main
 from multiderange.counting import classic_derangement, uniform_count
 from multiderange.recurrences import guess_and_extend_uniform, recurrence_to_json
 from multiderange.sequences import (
@@ -22,12 +22,25 @@ from multiderange.sequences import (
 
 D52 = "29672484407795138298279444403649511427278111361911893663894333196201"
 DECK = "1493804444499093354916284290188948031229880469556"
+COMMANDS = ("derange", "multi", "deck", "prob", "table", "guess", "oeis-check")
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """`python -m multiderange ...` in a fresh interpreter."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+    return subprocess.run(
+        [sys.executable, "-m", "multiderange", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
 
 
 class TestDecimalApprox:
@@ -116,9 +129,10 @@ class TestDeck:
         assert document["multiset"] == [4] * 13
         assert document["value"] == DECK
 
-    def test_matches_multi(self, capsys):
-        deck_out = run_cli(capsys, "deck")[1]
-        multi_out = run_cli(capsys, "multi", *["4"] * 13)[1]
+    @pytest.mark.parametrize("fmt", ["plain", "bfile", "structured"])
+    def test_matches_multi(self, capsys, fmt):
+        deck_out = run_cli(capsys, "deck", "--format", fmt)[1]
+        multi_out = run_cli(capsys, "multi", *["4"] * 13, "--format", fmt)[1]
         assert deck_out == multi_out
 
 
@@ -335,6 +349,16 @@ class TestOeisCheck:
         assert code == 4
         assert "mismatch at n=3" in out
 
+    def test_non_utf8_cache_is_computation_error(self, capsys, tmp_path):
+        (tmp_path / "b000166.txt").write_bytes(b"\xff\xfe0 1\n")
+        code, out, err = run_cli(
+            capsys, "oeis-check", "--id", "A000166", "--fixed", "k", "--value", "1",
+            "--count", "5", "--cache-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_unknown_uncached_id_reports_offline(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MULTIDERANGE_OEIS_CACHE", str(tmp_path))
         code, out, _ = run_cli(
@@ -455,14 +479,39 @@ class TestSearchCapValidation:
         assert info.value.code == 2
 
 
+class TestSharedParser:
+    """One parser serves every call in a process; calls stay independent."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_every_default_is_immutable(self):
+        (commands,) = build_parser()._subparsers._group_actions
+        for sub in commands.choices.values():
+            defaults = [*sub._defaults.values(), *(a.default for a in sub._actions)]
+            for value in defaults:
+                hash(value)  # lists, dicts and sets would be shared across calls
+
+    def test_usage_error_leaves_next_call_alone(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["oeis-check", "--id", "X123", "--fixed", "k", "--value", "1",
+                  "--count", "5"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "oeis-check: error: argument --id: malformed sequence id 'X123'" in err
+        code, out, _ = run_cli(capsys, "deck")
+        assert code == 0
+        assert out == run_module("deck").stdout
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_exits_zero(self, capsys, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: multiderange {command} ")
+
+
 def test_python_dash_m_entry_point():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
-    ))
-    done = subprocess.run(
-        [sys.executable, "-m", "multiderange", "derange", "5"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    done = run_module("derange", "5")
     assert done.returncode == 0
     assert done.stdout == "44\n"

@@ -1,7 +1,7 @@
 import pytest
 
 from multiderange.counting import classic_derangement, uniform_fixed_k_prefix
-from multiderange.errors import NetworkUnavailable, UnknownSequence
+from multiderange.errors import NetworkUnavailable, SequenceParseError, UnknownSequence
 from multiderange.oeis import OeisClient, default_cache_dir
 from multiderange.sequences import SequenceSlice, format_bfile
 
@@ -52,6 +52,12 @@ class TestFetch:
         second = client.fetch_terms("A999998")
         assert transport.calls == 1  # served from disk
         assert first == second == SequenceSlice(0, (5, 7, 11))
+
+    def test_non_utf8_cache_is_malformed(self, tmp_path):
+        (tmp_path / "b000166.txt").write_bytes(b"\xff\xfe0 1\n")
+        client = OeisClient(cache_dir=tmp_path)
+        with pytest.raises(SequenceParseError):
+            client.fetch_terms("A000166")
 
     def test_unknown_sequence_passes_through(self, tmp_path):
         transport = CountingTransport(UnknownSequence("A999997"))
