@@ -30,7 +30,7 @@ _ID_PATTERN = re.compile(r"\AA\d{6}\Z")
 DEFAULT_BASE_URL = "https://oeis.org"
 DEFAULT_TIMEOUT = 10.0
 
-Transport = Callable[[str, float], str]
+Transport = Callable[[str, float], bytes]
 
 
 @dataclass(frozen=True)
@@ -81,19 +81,19 @@ class OeisClient:
         _check_id(sequence_id)
         cache_file = self.cache_dir / _bfile_name(sequence_id)
         if cache_file.is_file():
-            return _read_bfile(cache_file)
+            return _parse_bfile_bytes(cache_file.read_bytes(), cache_file)
         bundled = resources.files("multiderange").joinpath(
             "data", "oeis", _bfile_name(sequence_id)
         )
         if bundled.is_file():
-            return _read_bfile(bundled)
+            return _parse_bfile_bytes(bundled.read_bytes(), bundled)
         if not self.online:
             raise NetworkUnavailable(
                 f"{sequence_id} is not cached and network access is disabled"
             )
-        text = self._download(sequence_id)
-        slice_ = parse_bfile(text)  # validate before caching
-        self._write_cache(cache_file, text)
+        data = self._download(sequence_id)
+        slice_ = _parse_bfile_bytes(data, sequence_id)  # validate before caching
+        self._write_cache(cache_file, data)
         return slice_
 
     def cross_check(self, local: SequenceSlice, sequence_id: str) -> OeisReport:
@@ -116,7 +116,7 @@ class OeisClient:
                 )
         return OeisReport(sequence_id, "match", compared, None, local.offset, remote.offset)
 
-    def _download(self, sequence_id: str) -> str:
+    def _download(self, sequence_id: str) -> bytes:
         url = f"{self.base_url}/{sequence_id}/{_bfile_name(sequence_id)}"
         last_error: Exception | None = None
         for _ in range(2):  # one retry
@@ -128,10 +128,10 @@ class OeisClient:
                 last_error = exc
         raise NetworkUnavailable(f"fetching {url} failed: {last_error}")
 
-    def _write_cache(self, cache_file: Path, text: str) -> None:
+    def _write_cache(self, cache_file: Path, data: bytes) -> None:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = cache_file.with_suffix(".tmp")
-        tmp.write_text(text, encoding="utf-8")
+        tmp.write_bytes(data)
         os.replace(tmp, cache_file)  # readers never see partial files
 
 
@@ -144,19 +144,20 @@ def _bfile_name(sequence_id: str) -> str:
     return f"b{sequence_id[1:]}.txt"
 
 
-def _read_bfile(source) -> SequenceSlice:
-    """Parse a cached or bundled b-file; text that is not UTF-8 is malformed."""
+def _parse_bfile_bytes(data: bytes, source) -> SequenceSlice:
+    """Parse a cached, bundled or downloaded b-file; bytes that are not
+    UTF-8 are malformed."""
     try:
-        text = source.read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SequenceParseError(f"{source}: not UTF-8 ({exc})") from exc
     return parse_bfile(text)
 
 
-def _http_get(url: str, timeout: float) -> str:
+def _http_get(url: str, timeout: float) -> bytes:
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:
-            return response.read().decode("utf-8")
+            return response.read()
     except urllib.error.HTTPError as exc:
         if exc.code == 404:
             raise UnknownSequence(url) from exc

@@ -9,22 +9,28 @@ when its homogeneous system over all usable shifts is overdetermined by a
 fixed margin and has a solution of the candidate's order.
 
 Rank mod p never exceeds the rational rank, so a prime with full column
-rank proves a system has no solution.  The rows of an (r, d) system depend
-only on r, so one screen per order decides most candidates: the first time
-the scan reaches order r, the system of the largest feasible degree is
-brought to RREF mod the first prime with degree-major columns, and each
-(r, d) system is a leading column block of it.  Its rank mod that prime is
-the number of pivots left of the block boundary, and a candidate with full
-rank there is rejected without a fit.
+rank proves a system has no solution.  Every system has one column
+layout, degree-major: column e*(r+1) + j holds n^e * s(n+j).  The rows of
+an (r, d) system depend only on r, so each (r, d) system is the leading
+(r+1)*(d+1)-column block of its order's system of the largest feasible
+degree, and the RREF of a leading block is the leading block of the RREF.
+The first time the scan reaches order r, that largest system is brought to
+RREF mod the first prime, once.  A candidate's rank there is the number of
+pivots left of its block boundary, and a candidate with full rank is
+rejected without a fit.
 
-One exact solver decides every other candidate.  It reduces the system mod
-a descending stream of 31-bit primes, again rejecting on full column rank;
-otherwise nullspace vectors are combined across primes by CRT and
-rationally reconstructed once a probe coordinate reconstructs to the same
-fraction at two consecutive moduli.  Rank and pivot columns mod p can only
-be worse than over the rationals, never better, so only primes with the
-best pivot shape seen so far are combined: more pivots first, then earlier
-pivot columns.
+One exact solver decides every other candidate.  The screen's reduced rows
+left of the boundary are its first prime; it reduces the system mod a
+descending stream of later 31-bit primes, again rejecting on full column
+rank.  Each prime's nullspace is written in one canonical basis, that of
+the shift-major column order (all the columns of s(n) first, then those of
+s(n+1), ...), whose first order-r vector is the order-r solution with the
+least-degree leading polynomial.  Basis vectors are combined across primes
+by CRT and rationally reconstructed once a probe coordinate reconstructs
+to the same fraction at two consecutive moduli.  Rank and pivot columns
+mod p can only be worse than over the rationals, never better, so only
+primes with the best shift-major pivot shape seen so far are combined:
+more pivots first, then earlier pivot columns.
 
 One exact check accepts: a reconstructed vector is returned only as a
 recurrence of the candidate's order (nonzero top coefficient block) that
@@ -46,8 +52,8 @@ from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import localcontext
-from fractions import Fraction
-from math import gcd, isqrt
+from itertools import chain
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -70,8 +76,8 @@ GUESS_MARGIN = 10
 DEFAULT_MAX_ORDER = 12
 DEFAULT_MAX_DEGREE = 12
 
-# The prime of the per-order screen and the first prime of every fit.  One
-# RREF mod this prime per order rejects most candidates of that order.
+# The prime of the per-order screen, which is the first prime of every fit.
+# One RREF mod this prime per order rejects most candidates of that order.
 # 2^31 - 1 is prime and its squares fit comfortably in int64.
 _FIRST_PRIME = (1 << 31) - 1
 
@@ -119,11 +125,12 @@ def guess_recurrence(
     that much data, InsufficientData reports the smallest workable count.
     Raises RecurrenceNotFound when the whole grid is exhausted.
 
-    The first time the scan reaches an order, _order_screen reduces that
-    order's system of the largest feasible degree mod the first prime, once.
-    A candidate whose column block has full rank there is rejected without
-    a fit; column order does not change rank, so exactly the candidates
-    whose fit would reject on the first prime are skipped.
+    The first time the scan reaches an order, that order's system of the
+    largest feasible degree is reduced mod _FIRST_PRIME, once.  A candidate
+    whose leading column block has full rank there is rejected without a
+    fit; any other is fitted with that block's reduced rows as its first
+    prime.  A block of a full-rank system has full rank too, so the reduced
+    matrix is kept only for an order whose top system is rank-deficient.
     """
     if max_order < 1 or max_degree < 0:
         raise ValueError("search caps must allow order >= 1, degree >= 0")
@@ -143,18 +150,20 @@ def guess_recurrence(
         raise InsufficientData(
             min(_terms_needed(r, d) for r, d in candidates), length
         )
-    top_degree: dict[int, int] = {}
-    for r, d in feasible:
-        top_degree[r] = max(d, top_degree.get(r, d))
-    residues: dict[int, np.ndarray] = {}
-    screens: dict[int, tuple[int, ...]] = {}
+    # The big terms are reduced mod the first prime once, for every screen.
+    first = SequenceSlice(s.offset, tuple(t % _FIRST_PRIME for t in s.terms))
+    screens: dict[int, tuple[np.ndarray | None, tuple[int, ...]]] = {}
     for r, d in feasible:
         if r not in screens:
-            screens[r] = _order_screen(s, r, top_degree[r], residues)
+            top_degree = max(d_top for r_top, d_top in feasible if r_top == r)
+            matrix, pivots = _reduce(first, r, top_degree, _FIRST_PRIME)
+            screens[r] = (matrix if len(pivots) < matrix.shape[1] else None, pivots)
+        matrix, pivots = screens[r]
         n_cols = (r + 1) * (d + 1)
-        if bisect_left(screens[r], n_cols) == n_cols:
+        rank = bisect_left(pivots, n_cols)
+        if rank == n_cols:
             continue  # full column rank mod the first prime: no solution
-        rec = _fit(s, r, d, residues)
+        rec = _fit(s, r, d, matrix[:rank, :n_cols], pivots[:rank])
         if rec is not None:
             return rec
     raise RecurrenceNotFound(max_order, max_degree)
@@ -338,15 +347,17 @@ def _terms_needed(r: int, d: int) -> int:
 
 
 def _fit(
-    s: SequenceSlice, r: int, d: int, residues: dict[int, "np.ndarray"]
+    s: SequenceSlice, r: int, d: int, first_rows: np.ndarray, first_pivots: tuple[int, ...]
 ) -> Recurrence | None:
     """The order-r recurrence of the (r, d) system, or None if it has none.
 
-    Per prime of _prime_stream the system is brought to reduced row echelon
-    form over the prime field in vectorized int64.  Rank mod p never exceeds
-    the rational rank, so full column rank mod p certifies that only the
-    zero vector solves the system.  Otherwise the canonical nullspace basis
-    mod p is combined across primes by CRT.
+    first_rows and first_pivots are the system in reduced row echelon form
+    mod _FIRST_PRIME (its nonzero rows only), as the order's screen left
+    them; every later prime of _prime_stream reduces the terms and the
+    system afresh, in vectorized int64.  Rank mod p never exceeds the
+    rational rank, so full column rank mod p certifies that only the zero
+    vector solves the system.  Otherwise the canonical nullspace basis mod p
+    (see _nullspace_mod_p) is combined across primes by CRT.
 
     After each combined prime one probe coordinate is rationally
     reconstructed.  Only when it gives the same fraction at two consecutive
@@ -366,29 +377,30 @@ def _fit(
     nullspace and all have zero top blocks, so no order-r recurrence exists
     and None is returned.  Anything else means too few primes, and more are
     combined.  Since an attempt never passes over a failed vector, the
-    vector returned is the first order-r vector of the rational basis,
-    however many primes it took.
+    vector returned is the first order-r vector of the rational basis, the
+    order-r solution with the least-degree leading polynomial, however many
+    primes it took.
 
-    Pivots mod p never come earlier than the rational ones, so the pivot
-    shape to trust is the best seen so far: more pivots first, then the
-    lexicographically smaller pivot columns.  A prime with a worse shape is
-    skipped, and one with a better shape restarts the combination.  Only
-    finitely many primes are unlucky, so the loop ends.
-
-    `residues` maps each prime to the terms reduced mod it; the caller
-    shares it across candidates so the big terms are reduced once per prime.
+    Pivots mod p never come earlier than the rational ones, in any fixed
+    column order, so the shift-major pivot shape to trust is the best seen
+    so far: more pivots first, then the lexicographically smaller pivot
+    columns.  A prime with a worse shape is skipped, and one with a better
+    shape restarts the combination.  Only finitely many primes are unlucky,
+    so the loop ends.
     """
     n_cols = (r + 1) * (d + 1)
+    reductions = chain(
+        [(_FIRST_PRIME, first_rows, first_pivots)],
+        ((p, *_reduce(s, r, d, p)) for p in _prime_stream()),
+    )
     best_shape: tuple | None = None
-    for p in _prime_stream():
-        matrix = _modp_matrix(_terms_mod(s, p, residues), s.offset, r, d, p)
-        pivots = _rref_mod_p(matrix, p)
+    for p, matrix, pivots in reductions:
         if len(pivots) == n_cols:
             return None  # full rank mod p: certified trivial nullspace
-        shape = (-len(pivots), pivots)
+        shift_pivots, basis = _nullspace_mod_p(matrix, pivots, p, r, d)
+        shape = (-len(shift_pivots), shift_pivots)
         if best_shape is not None and shape > best_shape:
             continue  # p is unlucky
-        basis = _nullspace_mod_p(matrix, pivots, p)
         if shape != best_shape:
             best_shape = shape
             combined, modulus = basis, p
@@ -405,11 +417,11 @@ def _fit(
         if not stable:
             continue
         for i, vector in enumerate(combined):
-            fractions = _reconstruct_vector(vector, modulus)
-            if len(fractions) < n_cols:
-                probe, settled = (i, len(fractions)), None
+            pairs = _reconstruct_vector(vector, modulus)
+            if len(pairs) < n_cols:
+                probe, settled = (i, len(pairs)), None
                 break
-            rec = _vector_to_recurrence(_clear_denominators(fractions), r, d)
+            rec = _vector_to_recurrence(pairs, r, d)
             # The order-r rows: the shifts at which every (r, d) vector is checked.
             rows = SequenceSlice(s.offset, s.terms[:len(s.terms) - r + rec.order])
             if not verify_recurrence(rec, rows).ok:
@@ -421,49 +433,27 @@ def _fit(
     raise RuntimeError("prime stream exhausted")
 
 
-def _order_screen(
-    s: SequenceSlice, r: int, top_degree: int, residues: dict[int, "np.ndarray"]
-) -> tuple[int, ...]:
-    """Pivot columns of the (r, top_degree) system mod _FIRST_PRIME, with
-    degree-major columns: column e*(r+1) + j holds n^e * s(n+j).
+def _reduce(s: SequenceSlice, r: int, d: int, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The (r, d) system of s mod p in reduced row echelon form, and its
+    pivot columns.
 
-    The rows depend only on r, so for every d <= top_degree the (r, d)
-    system is, up to a column permutation, the leading (r+1)*(d+1) columns
-    of this matrix, and its rank mod the first prime is the number of
-    pivots left of that boundary.
-    """
-    matrix = _modp_matrix(
-        _terms_mod(s, _FIRST_PRIME, residues), s.offset, r, top_degree, _FIRST_PRIME
-    )
-    n_rows = matrix.shape[0]
-    degree_major = matrix.reshape(n_rows, r + 1, top_degree + 1).transpose(0, 2, 1)
-    return _rref_mod_p(degree_major.reshape(n_rows, -1), _FIRST_PRIME)
-
-
-def _terms_mod(s: SequenceSlice, p: int, residues: dict[int, "np.ndarray"]) -> "np.ndarray":
-    """The terms of s reduced mod p, computed once per prime into residues."""
-    if p not in residues:
-        residues[p] = np.array([t % p for t in s.terms], dtype=np.int64)
-    return residues[p]
-
-
-def _modp_matrix(terms_mod: "np.ndarray", offset: int, r: int, d: int, p: int) -> "np.ndarray":
-    """The full candidate system reduced mod p, as an int64 array.
-
+    Columns are degree-major: column e*(r+1) + j holds n^e * s(n+j).
     Entries stay below p < 2^31, so every product formed during modular
     elimination fits in int64 with room to spare.
     """
+    terms_mod = np.array([t % p for t in s.terms], dtype=np.int64)
     n_rows = len(terms_mod) - r
     shifts = np.stack([terms_mod[j:j + n_rows] for j in range(r + 1)], axis=1)
-    n_values = np.arange(offset, offset + n_rows, dtype=np.int64) % p
+    n_values = np.arange(s.offset, s.offset + n_rows, dtype=np.int64) % p
     powers = np.empty((n_rows, d + 1), dtype=np.int64)
     powers[:, 0] = 1
     for e in range(1, d + 1):
         powers[:, e] = powers[:, e - 1] * n_values % p
-    return (shifts[:, :, None] * powers[:, None, :] % p).reshape(n_rows, -1)
+    matrix = (powers[:, :, None] * shifts[:, None, :] % p).reshape(n_rows, -1)
+    return matrix, _rref_mod_p(matrix, p)
 
 
-def _rref_mod_p(m: "np.ndarray", p: int) -> tuple[int, ...]:
+def _rref_mod_p(m: np.ndarray, p: int) -> tuple[int, ...]:
     """In-place reduced row echelon form mod p; returns the pivot columns."""
     n_rows, n_cols = m.shape
     rank = 0
@@ -490,24 +480,44 @@ def _rref_mod_p(m: "np.ndarray", p: int) -> tuple[int, ...]:
     return tuple(pivot_cols)
 
 
-def _nullspace_mod_p(m: "np.ndarray", pivot_cols: tuple[int, ...], p: int) -> list[list[int]]:
-    """Canonical nullspace basis of a matrix in RREF mod p.
+def _nullspace_mod_p(
+    m: np.ndarray, pivot_cols: tuple[int, ...], p: int, r: int, d: int
+) -> tuple[tuple[int, ...], list[list[int]]]:
+    """The nullspace mod p of a degree-major (r, d) system in RREF, as its
+    canonical basis in shift-major coordinates, with the pivot columns of
+    the shift-major system.
 
-    One vector per free column in ascending order, with that free
-    coordinate set to 1 and the other free coordinates 0 - the reduction
-    mod p of the unique rational RREF nullspace basis whenever p preserves
-    the pivot shape.
+    Shift-major, coordinate j*(d+1) + e is the n^e coefficient of p_j, so
+    a solution's last nonzero coordinate gives its order and then the degree
+    of its top polynomial.  The canonical basis has one vector per free
+    column f of the shift-major system, in ascending order: coordinate f is
+    1, and the vector is 0 past f and at every other free column.  Its first
+    order-r vector is the order-r solution whose leading polynomial has the
+    least degree.  This is the reduction mod p of the unique rational basis
+    of that form whenever p preserves the shift-major pivot shape.
     """
     n_cols = m.shape[1]
     free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        vector = [0] * n_cols
-        vector[free] = 1
-        for k, col in enumerate(pivot_cols):
-            vector[col] = int(-m[k, free]) % p
-        basis.append(vector)
-    return basis
+    degree_major = np.zeros((len(free_cols), n_cols), dtype=np.int64)
+    degree_major[:, free_cols] = np.eye(len(free_cols), dtype=np.int64)
+    degree_major[:, pivot_cols] = -m[:len(pivot_cols), free_cols].T % p
+    shift_major = [e * (r + 1) + j for j in range(r + 1) for e in range(d + 1)]
+    pending = degree_major[:, shift_major].tolist()
+    # Gauss-Jordan on the basis, from the last shift-major coordinate down.
+    basis: dict[int, list[int]] = {}
+    for f in range(n_cols - 1, -1, -1):
+        vector = next((v for v in pending if v[f]), None)
+        if vector is None:
+            continue
+        pending.remove(vector)
+        inverse = pow(vector[f], p - 2, p)
+        vector = [c * inverse % p for c in vector]
+        for other in pending + list(basis.values()):
+            factor = other[f]
+            other[:] = [(c - factor * v) % p for c, v in zip(other, vector)]
+        basis[f] = vector
+    shift_pivots = tuple(c for c in range(n_cols) if c not in basis)
+    return shift_pivots, [basis[f] for f in sorted(basis)]
 
 
 def _crt_merge(combined: list[int], modulus: int, vector: list[int], p: int) -> list[int]:
@@ -516,20 +526,22 @@ def _crt_merge(combined: list[int], modulus: int, vector: list[int], p: int) -> 
     return [c + modulus * ((v - c) * inverse % p) for c, v in zip(combined, vector)]
 
 
-def _reconstruct_vector(combined: list[int], modulus: int) -> list[Fraction]:
+def _reconstruct_vector(combined: list[int], modulus: int) -> list[tuple[int, int]]:
     """Rational reconstructions of the coordinates in order, up to the first
     that has none; the result is shorter than combined exactly then."""
-    fractions = []
+    pairs = []
     for value in combined:
-        fraction = _rational_reconstruct(value, modulus)
-        if fraction is None:
+        pair = _rational_reconstruct(value, modulus)
+        if pair is None:
             break
-        fractions.append(fraction)
-    return fractions
+        pairs.append(pair)
+    return pairs
 
 
-def _rational_reconstruct(value: int, modulus: int) -> Fraction | None:
-    """Unique fraction a/b with a, b bounded by sqrt(modulus/2), if any."""
+def _rational_reconstruct(value: int, modulus: int) -> tuple[int, int] | None:
+    """The unique fraction num/den in lowest terms with den > 0 and |num|,
+    den bounded by sqrt(modulus/2) that equals value mod modulus, as the
+    pair (num, den), if any."""
     bound = isqrt(modulus // 2)
     r0, r1 = modulus, value % modulus
     s0, s1 = 0, 1
@@ -539,29 +551,15 @@ def _rational_reconstruct(value: int, modulus: int) -> Fraction | None:
         s0, s1 = s1, s0 - q * s1
     if s1 == 0 or abs(s1) > bound or gcd(r1, abs(s1)) != 1:
         return None
-    return Fraction(r1, s1)
-
-
-def _clear_denominators(values: list[Fraction]) -> list[int]:
-    common = 1
-    for v in values:
-        common = common * v.denominator // gcd(common, v.denominator)
-    return [int(v * common) for v in values]
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def _prime_stream():
-    """Deterministic descending stream of 31-bit primes.
-
-    _FIRST_PRIME is a known prime, and most candidates are decided by it
-    alone, so it is yielded without the primality test each fit would
-    otherwise repeat.
-    """
-    yield _FIRST_PRIME
-    n = _FIRST_PRIME - 2
-    while n > 1 << 30:
+    """The primes below _FIRST_PRIME in descending order: the later primes
+    of every fit, whose first prime is the order's screen."""
+    for n in range(_FIRST_PRIME - 2, 1 << 30, -2):
         if _is_prime(n):
             yield n
-        n -= 2
 
 
 def _is_prime(n: int) -> bool:
@@ -587,7 +585,11 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _vector_to_recurrence(vector: list[int], r: int, d: int) -> Recurrence:
+def _vector_to_recurrence(pairs: list[tuple[int, int]], r: int, d: int) -> Recurrence:
+    """The recurrence of a reconstructed shift-major vector of fractions
+    (num, den), with the denominators cleared."""
+    common = lcm(*(den for _, den in pairs))
+    vector = [num * (common // den) for num, den in pairs]
     width = d + 1
     return _normalized(vector[j * width:(j + 1) * width] for j in range(r + 1))
 

@@ -1,8 +1,10 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import urllib.request
 from fractions import Fraction
 from pathlib import Path
 
@@ -358,6 +360,25 @@ class TestOeisCheck:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_non_utf8_download_is_computation_error(self, capsys, tmp_path, monkeypatch):
+        requests = []
+
+        def urlopen(url, timeout):
+            requests.append(url)
+            return io.BytesIO(b"\xff0 1\n1 0\n2 1\n")
+
+        monkeypatch.delenv("MULTIDERANGE_OFFLINE", raising=False)
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        code, out, err = run_cli(
+            capsys, "oeis-check", "--id", "A999991", "--fixed", "k", "--value", "1",
+            "--count", "3", "--online", "--cache-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(requests) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_unknown_uncached_id_reports_offline(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MULTIDERANGE_OEIS_CACHE", str(tmp_path))

@@ -11,7 +11,7 @@ def local_derangements(count):
 
 
 class CountingTransport:
-    """Serves canned b-file text and counts the requests it sees."""
+    """Serves canned b-file bytes and counts the requests it sees."""
 
     def __init__(self, payload):
         self.payload = payload
@@ -32,7 +32,7 @@ class TestFetch:
         assert terms.terms[:6] == (1, 0, 1, 2, 9, 44)
 
     def test_malformed_id_rejected_before_any_io(self):
-        client = OeisClient(online=True, transport=CountingTransport("0 1\n"))
+        client = OeisClient(online=True, transport=CountingTransport(b"0 1\n"))
         with pytest.raises(ValueError):
             client.fetch_terms("X123")
         with pytest.raises(ValueError):
@@ -44,7 +44,7 @@ class TestFetch:
             client.fetch_terms("A999998")
 
     def test_fetch_writes_cache_and_reuses_it(self, tmp_path):
-        transport = CountingTransport("0 5\n1 7\n2 11\n")
+        transport = CountingTransport(b"0 5\n1 7\n2 11\n")
         client = OeisClient(cache_dir=tmp_path, online=True, transport=transport)
         first = client.fetch_terms("A999998")
         assert transport.calls == 1
@@ -58,6 +58,22 @@ class TestFetch:
         client = OeisClient(cache_dir=tmp_path)
         with pytest.raises(SequenceParseError):
             client.fetch_terms("A000166")
+
+    def test_non_utf8_download_is_malformed_and_not_cached(self, tmp_path):
+        transport = CountingTransport(b"\xff0 1\n1 0\n2 1\n")
+        client = OeisClient(cache_dir=tmp_path, online=True, transport=transport)
+        with pytest.raises(SequenceParseError):
+            client.fetch_terms("A999991")
+        assert transport.calls == 1  # a malformed file is not a network failure
+        assert list(tmp_path.iterdir()) == []
+
+    def test_download_is_cached_verbatim(self, tmp_path):
+        payload = b"# A999988\r\n0 5\r\n1 7\r\n"
+        client = OeisClient(
+            cache_dir=tmp_path, online=True, transport=CountingTransport(payload)
+        )
+        assert client.fetch_terms("A999988") == SequenceSlice(0, (5, 7))
+        assert (tmp_path / "b999988.txt").read_bytes() == payload
 
     def test_unknown_sequence_passes_through(self, tmp_path):
         transport = CountingTransport(UnknownSequence("A999997"))
@@ -74,7 +90,7 @@ class TestFetch:
 
     def test_offline_env_overrides_online_flag(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MULTIDERANGE_OFFLINE", "1")
-        transport = CountingTransport("0 1\n")
+        transport = CountingTransport(b"0 1\n")
         client = OeisClient(cache_dir=tmp_path, online=True, transport=transport)
         with pytest.raises(NetworkUnavailable):
             client.fetch_terms("A999995")
@@ -154,7 +170,7 @@ class TestEndpointOverride:
 
         def transport(url, timeout):
             seen.append(url)
-            return "0 1\n1 2\n"
+            return b"0 1\n1 2\n"
 
         monkeypatch.setenv("MULTIDERANGE_OEIS_BASE_URL", "https://mirror.test")
         client = OeisClient(cache_dir=tmp_path, online=True, transport=transport)
@@ -166,7 +182,7 @@ class TestEndpointOverride:
 
         def transport(url, timeout):
             seen.append(url)
-            return "0 1\n1 2\n"
+            return b"0 1\n1 2\n"
 
         client = OeisClient(
             cache_dir=tmp_path, online=True, base_url="http://localhost:9", transport=transport
