@@ -8,8 +8,9 @@ position holds the same symbol as the sorted reference word 1^a_1 ... n^a_n.
 Three routes to the same count:
 
   * multiset_derangement - the production path: a signed exponential moment
-    of the product of the matching Laguerre polynomials.  Scales to
-    thousand-symbol instances.
+    of the product Q of the matching Laguerre polynomials.  Scales to
+    thousand-symbol instances.  `uniform_count` is the same path on one
+    group of equal multiplicities.
   * brute_force_count    - enumeration of distinct multiset permutations with
     the position constraint applied while building (small instances only).
   * macmahon_count       - coefficient extraction from the generating
@@ -18,13 +19,20 @@ Three routes to the same count:
 
 The two bounded methods exist to cross-validate the first, so their bounds
 are plain keyword arguments that tests can lift.
+
+The production path builds Q one of two ways, and one rule on the grouped
+multiplicities picks between them (see _RECURRENCE_MAX_DEG_R).  When a few
+distinct multiplicities repeat many times, Q's coefficients come from a
+first-order recurrence that needs only small-by-big multiplies and exact
+divisions; otherwise the factors are multiplied over `polys.int_product`'s
+balanced tree.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import polys
 from .errors import InstanceTooLarge, InternalInconsistency
@@ -102,22 +110,99 @@ def multiset_derangement(m: Multiset | Iterable[int]) -> DerangementCount:
     checked before returning.
     """
     ms = as_multiset(m)
-    ordered = sorted(ms.multiplicities, reverse=True)
-    moment = integer_moment(polys.int_product([scaled_laguerre(a) for a in ordered]))
-    scale = prod(factorial(a) for a in ordered)
-    return DerangementCount(_signed_count(moment, ms.total, scale), ms)
+    groups: dict[int, int] = {}
+    for a in ms.multiplicities:
+        groups[a] = groups.get(a, 0) + 1
+    return DerangementCount(_grouped_count(groups), ms)
 
 
 def uniform_count(n: int, k: int) -> int:
     """Derangement count of the multiset with k repeated n times.
 
-    Evaluated as the signed moment of (k! * L_k) ** n divided by (k!)^n;
-    n = 0 or k = 0 gives 1 (the empty word is vacuously deranged).
+    The same count as multiset_derangement((k,) * n); n = 0 or k = 0 gives 1
+    (the empty word is vacuously deranged).
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    moment = integer_moment(polys.int_power(scaled_laguerre(k), n))
-    return _signed_count(moment, n * k, factorial(k) ** n)
+    if n == 0 or k == 0:
+        return 1
+    return _grouped_count({k: n})
+
+
+# Q = prod (a! * L_a)^c_a goes through the coefficient recurrence when
+# R = prod a! * L_a over the distinct a has degree below 64 and Q's degree
+# is at least 8 times R's; everything else goes through the product tree.
+# The recurrence makes deg Q * deg R small-by-big multiplies, the tree a few
+# big-by-big ones.  Measured in-process, best of 3, Q and its moment, tree
+# vs recurrence (bit-equal every time):
+#   taken by the recurrence: 500 fours 0.44 vs 0.018 s, 1000 fours 2.2 vs
+#     0.048 s, (1..10) x 20 0.25 vs 0.066 s, [63] x 8 0.071 vs 0.052 s,
+#     [40] x 8 0.012 vs 0.0073 s, [5] x 8 0.19 vs 0.17 ms;
+#   kept on the tree: 1..20 0.0039 vs 0.18 s, [160] x 5 0.22 vs 0.73 s,
+#     [63] x 4 10.6 vs 11.2 ms, [5] x 4 0.04 vs 0.10 ms, and a seeded mix
+#     of 700 instances of 2-16 symbols with multiplicities 1-6 (none with
+#     deg Q >= 6 deg R) 0.076 vs 0.27 s.
+_RECURRENCE_MAX_DEG_R = 64
+_RECURRENCE_MIN_REPEAT = 8
+
+
+def _grouped_count(groups: dict[int, int]) -> int:
+    """Derangement count of the multiset with groups[a] copies of
+    multiplicity a, every a and groups[a] >= 1."""
+    deg_r = sum(groups)
+    deg_q = sum(a * c for a, c in groups.items())
+    if deg_r < _RECURRENCE_MAX_DEG_R and deg_q >= _RECURRENCE_MIN_REPEAT * deg_r:
+        q = _product_recurrence(groups)
+    else:
+        q = _product_tree(groups)
+    scale = prod(factorial(a) ** c for a, c in groups.items())
+    return _signed_count(integer_moment(q), deg_q, scale)
+
+
+def _product_tree(groups: dict[int, int]) -> Sequence[int]:
+    """Q over polys.int_product's balanced tree, largest factors first."""
+    return polys.int_product(
+        [scaled_laguerre(a) for a in sorted(groups, reverse=True) for _ in range(groups[a])]
+    )
+
+
+def _product_recurrence(groups: dict[int, int]) -> list[int]:
+    """Q's coefficients from the first-order ODE R * Q' = S * Q.
+
+    With P_a = a! * L_a, R = prod P_a over the distinct a and
+    S = sum c_a * P_a' * (R / P_a), so that S / R is Q's logarithmic
+    derivative (J. C. P. Miller's power formula, Knuth TAOCP vol. 2, 4.7,
+    extended to products; the first-order case of D-finite closure).  R / P_a
+    is the product of the other factors.  Reading off the coefficient of
+    x^(m-1) gives
+
+        m * r_0 * q_m = sum_{i>=1} (s_{i-1} - (m - i) * r_i) * q_{m-i},
+
+    from q_0 = prod (a!)^c_a.  Every q_m is an integer, so each division
+    must be exact; a remainder means a factor is wrong.
+    """
+    factors = {a: scaled_laguerre(a) for a in groups}
+    r = polys.int_product(list(factors.values()))
+    deg_r = len(r) - 1
+    s = [0] * deg_r
+    for a, p in factors.items():
+        others = polys.int_product([f for b, f in factors.items() if b != a])
+        term = polys.int_mul([i * c for i, c in enumerate(p)][1:], others)
+        for i, c in enumerate(term):
+            s[i] += groups[a] * c
+    # Step m weighs q_{m-1}, ..., q_{m-deg R} by u_i - m * r_i, where
+    # u_i = s_{i-1} + i * r_i.
+    u = [s[i - 1] + i * r[i] for i in range(1, deg_r + 1)]
+    tail = r[1:]
+    q = [prod(factorial(a) ** c for a, c in groups.items())]
+    for m in range(1, sum(a * c for a, c in groups.items()) + 1):
+        weights = [x - m * y for x, y in zip(u, tail)]
+        acc = sum(map(int.__mul__, weights, q[: -deg_r - 1 : -1]))
+        q_m, remainder = divmod(acc, m * r[0])
+        if remainder:
+            raise InternalInconsistency("product coefficient is not divisible by its step")
+        q.append(q_m)
+    return q
 
 
 def uniform_fixed_k_prefix(k: int, count: int) -> list[int]:

@@ -2,8 +2,9 @@
 rational layer on top of it.
 
 An integer polynomial is a sequence of ints; index m holds the coefficient
-of x^m.  `int_mul`, `int_product` and `int_power` work on these, and they
-are what the counting path uses.
+of x^m.  `int_mul` and `int_product` work on these, and they are what the
+counting path uses: its product tree, and the short products that set up
+its coefficient recurrence.
 
 A rational polynomial is a tuple of Fractions, normalized so that the zero
 polynomial is the empty tuple and a nonzero one never ends in a stored zero;
@@ -21,9 +22,10 @@ in softly linear time, where CPython's own int multiply would be Karatsuba.
 Both paths are exact and give identical coefficients; see _convolve for
 the 64.
 
-Products of many factors are evaluated over a balanced tree: pairing factors
-of similar degree keeps intermediate degrees (and coefficient sizes) small,
-which is what makes thousand-fold products of fixed-degree factors feasible.
+Products of many factors, powers included, are evaluated over a balanced
+tree: pairing factors of similar degree keeps intermediate degrees (and
+coefficient sizes) small, which is what makes thousand-fold products of
+fixed-degree factors feasible.
 """
 from __future__ import annotations
 
@@ -78,9 +80,11 @@ def product(factors: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:
 
 
 def power(p: Sequence[Fraction], e: int) -> tuple[Fraction, ...]:
-    """p**e by repeated squaring; p**0 = 1."""
+    """p**e over the balanced tree of e copies of p; p**0 = 1."""
+    if e < 0:
+        raise ValueError("negative exponent")
     nums, den = scaled_integers(p)
-    return _unscale(int_power(nums, e), den**e)
+    return _unscale(int_product([nums] * e), den**e)
 
 
 def scaled_integers(p: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -116,21 +120,6 @@ def int_product(factors: Sequence[Sequence[int]]) -> Sequence[int]:
             paired.append(items[-1])
         items = paired
     return items[0]
-
-
-def int_power(p: Sequence[int], e: int) -> Sequence[int]:
-    """p**e for an integer polynomial, by repeated squaring; p**0 = [1]."""
-    if e < 0:
-        raise ValueError("negative exponent")
-    result: Sequence[int] = [1]
-    base = p
-    while e:
-        if e & 1:
-            result = int_mul(result, base)
-        e >>= 1
-        if e:
-            base = int_mul(base, base)
-    return result
 
 
 def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -1,9 +1,11 @@
+import json
 import math
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multiderange.counting import (
@@ -19,6 +21,7 @@ from multiderange.counting import (
     wrong_rank_probability,
 )
 from multiderange import counting
+from multiderange.bigint import from_decimal
 from multiderange.errors import InstanceTooLarge, InternalInconsistency
 from multiderange.laguerre import exp_moment, laguerre, scaled_laguerre
 from multiderange.polys import product
@@ -247,6 +250,21 @@ class TestIntegerCore:
         with pytest.raises(InternalInconsistency, match="not divisible"):
             multiset_derangement((3, 2, 2))
 
+    def test_corrupted_factor_breaks_the_recurrence(self, monkeypatch):
+        def corrupted(a):
+            f = scaled_laguerre(a)
+            return (f[0] + 1,) + f[1:] if a == 3 else f
+
+        def refuse(groups):
+            raise RuntimeError("product tree reached")
+
+        monkeypatch.setattr(counting, "scaled_laguerre", corrupted)
+        monkeypatch.setattr(counting, "_product_tree", refuse)
+        with pytest.raises(InternalInconsistency, match="not divisible"):
+            multiset_derangement((3,) * 30)
+        with pytest.raises(InternalInconsistency, match="not divisible"):
+            uniform_count(30, 3)
+
     def test_corrupted_factor_flips_the_sign(self, monkeypatch):
         monkeypatch.setattr(
             counting, "scaled_laguerre", lambda a: tuple(-c for c in scaled_laguerre(a))
@@ -255,3 +273,67 @@ class TestIntegerCore:
             multiset_derangement((3, 3, 3))  # three negated factors
         with pytest.raises(InternalInconsistency, match="wrong sign"):
             uniform_fixed_k_prefix(3, 4)  # (-1)^3 flips F(3) = 56
+
+
+# Groupings {multiplicity: copies}: 1-6 distinct multiplicities, up to 40
+# copies each.
+groupings = st.dictionaries(
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=1, max_value=40),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestProductRoutes:
+    @given(groupings)
+    @example({63: 2})  # deg R at the cap
+    @example({30: 3, 33: 1})
+    @example({1: 5, 62: 1})
+    def test_recurrence_equals_product_tree(self, groups):
+        assert counting._product_recurrence(groups) == list(counting._product_tree(groups))
+
+    @pytest.mark.parametrize(
+        "groups, route",
+        [
+            ({4: 13}, "recurrence"),
+            ({4: 500}, "recurrence"),
+            ({63: 8}, "recurrence"),
+            ({64: 8}, "tree"),
+            ({31: 8, 32: 8}, "recurrence"),  # deg R 63, deg Q 8 * 63
+            ({31: 9, 32: 7}, "tree"),  # deg R 63, deg Q 8 * 63 - 1
+            ({30: 9, 34: 8}, "tree"),  # deg R 64
+            ({3: 12, 2: 2}, "recurrence"),  # deg Q 8 * 5
+            ({3: 11, 2: 3}, "tree"),  # deg Q 8 * 5 - 1
+            ({k: 1 for k in range(1, 21)}, "tree"),
+        ],
+    )
+    def test_rule_picks_the_route(self, monkeypatch, groups, route):
+        taken = []
+        for name in ("recurrence", "tree"):
+            real = getattr(counting, f"_product_{name}")
+            monkeypatch.setattr(
+                counting, f"_product_{name}",
+                lambda g, name=name, real=real: taken.append(name) or real(g),
+            )
+        multiset_derangement([a for a, c in groups.items() for _ in range(c)])
+        assert taken == [route]
+
+
+# Counts on both sides of the route rule and on its edges, written by
+# scripts/record_count_corpus.py from the product tree alone, before the
+# recurrence went in.
+COUNT_CORPUS = json.loads(
+    (Path(__file__).parent / "data" / "count_corpus.json").read_text()
+)
+
+
+class TestCountCorpus:
+    @pytest.mark.parametrize("case", COUNT_CORPUS, ids=[case["name"] for case in COUNT_CORPUS])
+    def test_count_is_unchanged(self, case):
+        multiplicities = [a for a, copies in case["groups"] for _ in range(copies)]
+        expected = from_decimal(case["count"])
+        assert multiset_derangement(multiplicities).value == expected
+        if len(case["groups"]) == 1:
+            (k, n), = case["groups"]
+            assert uniform_count(n, k) == expected

@@ -78,6 +78,10 @@ class TestBasics:
     def test_power_square(self):
         assert power(X_MINUS, 2) == poly([1, -2, 1])
 
+    def test_power_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            power(X_MINUS, -1)
+
     def test_poly_strips_trailing_zeros(self):
         assert poly([1, 2, 0, 0]) == poly([1, 2])
         assert poly([0, 0]) == ZERO
@@ -160,8 +164,8 @@ class TestConvolutionPaths:
         assert polys.int_mul(a, b) == [-6, 17, -5, -8, 20]
         assert poly(polys.int_mul(a, b)) == mul(poly(a), poly(b))
         assert polys.int_product([a, b, b]) == polys.int_mul(polys.int_mul(a, b), b)
-        assert polys.int_power(b, 3) == polys.int_product([b, b, b])
-        assert polys.int_power(b, 0) == [1]
+        assert power(poly(b), 3) == poly(polys.int_product([b, b, b]))
+        assert power(poly(b), 0) == ONE
         assert polys.int_mul(a, []) == []
 
     def test_scaled_integers_roundtrip(self):
