@@ -27,10 +27,9 @@ from typing import Sequence
 
 from .polys import Poly, scaled_integers
 
-# Append-only caches by degree.  Racing inserts are benign: every writer
+# Append-only cache by degree.  Racing inserts are benign: every writer
 # stores the same immutable tuple for a given key.
 _scaled_cache: dict[int, tuple[int, ...]] = {}
-_cache: dict[int, Poly] = {}
 
 
 def scaled_laguerre(a: int) -> tuple[int, ...]:
@@ -50,15 +49,10 @@ def scaled_laguerre(a: int) -> tuple[int, ...]:
 
 
 def laguerre(a: int) -> Poly:
-    """The degree-a simple Laguerre polynomial, cached per process."""
-    cached = _cache.get(a)
-    if cached is not None:
-        return cached
+    """The degree-a simple Laguerre polynomial: scaled_laguerre(a) / a!."""
     scaled = scaled_laguerre(a)
     fa = math.factorial(a)
-    coeffs = tuple(Fraction(c, fa) for c in scaled)
-    _cache[a] = coeffs
-    return coeffs
+    return tuple(Fraction(c, fa) for c in scaled)
 
 
 def integer_moment(nums: Sequence[int]) -> int:

@@ -9,28 +9,28 @@ when its homogeneous system over all usable shifts is overdetermined by a
 fixed margin and has a solution of the candidate's order.
 
 Rank mod p never exceeds the rational rank, so a prime with full column
-rank proves a system has no solution.  Every system has one column
-layout, degree-major: column e*(r+1) + j holds n^e * s(n+j).  The rows of
-an (r, d) system depend only on r, so each (r, d) system is the leading
-(r+1)*(d+1)-column block of its order's system of the largest feasible
-degree, and the RREF of a leading block is the leading block of the RREF.
-The first time the scan reaches order r, that largest system is brought to
-RREF mod the first prime, once.  A candidate's rank there is the number of
-pivots left of its block boundary, and a candidate with full rank is
-rejected without a fit.
+rank proves a system has no solution.  A screen decides which candidates
+are fitted, in the degree-major column layout: column e*(r+1) + j holds
+n^e * s(n+j).  The rows of an (r, d) system depend only on r, so each
+(r, d) system is the leading (r+1)*(d+1)-column block of its order's system
+of the largest feasible degree, and the RREF of a leading block is the
+leading block of the RREF.  The first time the scan reaches order r, that
+largest system is brought to RREF mod the screen's prime, once.  A
+candidate's rank there is the number of pivots left of its block boundary,
+and a candidate with full rank is rejected without a fit.
 
-One exact solver decides every other candidate.  The screen's reduced rows
-left of the boundary are its first prime; it reduces the system mod a
-descending stream of later 31-bit primes, again rejecting on full column
-rank.  Each prime's nullspace is written in one canonical basis, that of
-the shift-major column order (all the columns of s(n) first, then those of
-s(n+1), ...), whose first order-r vector is the order-r solution with the
+One exact solver fits every other candidate.  It reduces the system mod a
+descending stream of other 31-bit primes, again rejecting on full column
+rank, with the columns in shift-major order: all the columns of s(n) first,
+then those of s(n+1), ...  The RREF nullspace basis of that layout has one
+vector per free column, 1 there and 0 past it and at every other free
+column, so its first order-r vector is the order-r solution with the
 least-degree leading polynomial.  Basis vectors are combined across primes
 by CRT and rationally reconstructed once a probe coordinate reconstructs
 to the same fraction at two consecutive moduli.  Rank and pivot columns
 mod p can only be worse than over the rationals, never better, so only
-primes with the best shift-major pivot shape seen so far are combined:
-more pivots first, then earlier pivot columns.
+primes with the best pivot shape seen so far are combined: more pivots
+first, then earlier pivot columns.
 
 One exact check accepts: a reconstructed vector is returned only as a
 recurrence of the candidate's order (nonzero top coefficient block) that
@@ -52,7 +52,6 @@ from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 from decimal import localcontext
-from itertools import chain
 from math import gcd, isqrt, lcm
 
 import numpy as np
@@ -76,8 +75,8 @@ GUESS_MARGIN = 10
 DEFAULT_MAX_ORDER = 12
 DEFAULT_MAX_DEGREE = 12
 
-# The prime of the per-order screen, which is the first prime of every fit.
-# One RREF mod this prime per order rejects most candidates of that order.
+# The prime of the per-order screen.  One RREF mod this prime per order
+# rejects most candidates of that order.
 # 2^31 - 1 is prime and its squares fit comfortably in int64.
 _FIRST_PRIME = (1 << 31) - 1
 
@@ -126,11 +125,9 @@ def guess_recurrence(
     Raises RecurrenceNotFound when the whole grid is exhausted.
 
     The first time the scan reaches an order, that order's system of the
-    largest feasible degree is reduced mod _FIRST_PRIME, once.  A candidate
-    whose leading column block has full rank there is rejected without a
-    fit; any other is fitted with that block's reduced rows as its first
-    prime.  A block of a full-rank system has full rank too, so the reduced
-    matrix is kept only for an order whose top system is rank-deficient.
+    largest feasible degree is reduced mod _FIRST_PRIME, once, and only its
+    pivot columns are kept.  A candidate whose leading column block has
+    full rank there is rejected without a fit; any other is fitted.
     """
     if max_order < 1 or max_degree < 0:
         raise ValueError("search caps must allow order >= 1, degree >= 0")
@@ -152,18 +149,15 @@ def guess_recurrence(
         )
     # The big terms are reduced mod the first prime once, for every screen.
     first = SequenceSlice(s.offset, tuple(t % _FIRST_PRIME for t in s.terms))
-    screens: dict[int, tuple[np.ndarray | None, tuple[int, ...]]] = {}
+    screens: dict[int, tuple[int, ...]] = {}
     for r, d in feasible:
         if r not in screens:
             top_degree = max(d_top for r_top, d_top in feasible if r_top == r)
-            matrix, pivots = _reduce(first, r, top_degree, _FIRST_PRIME)
-            screens[r] = (matrix if len(pivots) < matrix.shape[1] else None, pivots)
-        matrix, pivots = screens[r]
+            screens[r] = _reduce(first, r, top_degree, _FIRST_PRIME)[1]
         n_cols = (r + 1) * (d + 1)
-        rank = bisect_left(pivots, n_cols)
-        if rank == n_cols:
+        if bisect_left(screens[r], n_cols) == n_cols:
             continue  # full column rank mod the first prime: no solution
-        rec = _fit(s, r, d, matrix[:rank, :n_cols], pivots[:rank])
+        rec = _fit(s, r, d)
         if rec is not None:
             return rec
     raise RecurrenceNotFound(max_order, max_degree)
@@ -282,7 +276,19 @@ def recurrence_to_json(rec: Recurrence, variable: str = "n") -> str:
 
 
 def recurrence_from_json(text: str) -> Recurrence:
+    """The recurrence of a recurrence_to_json document; ValueError if the
+    text is not such a document."""
     document = json.loads(text)
+    if not (
+        isinstance(document, dict)
+        and type(document.get("order")) is int
+        and isinstance(document.get("coeff_polys"), list)
+        and all(
+            isinstance(pj, list) and all(isinstance(c, str) for c in pj)
+            for pj in document["coeff_polys"]
+        )
+    ):
+        raise ValueError("expected an integer order and coeff_polys as lists of decimal strings")
     polys = tuple(
         tuple(from_decimal(c) for c in pj) for pj in document["coeff_polys"]
     )
@@ -346,18 +352,17 @@ def _terms_needed(r: int, d: int) -> int:
     return (r + 1) * (d + 1) + r + GUESS_MARGIN
 
 
-def _fit(
-    s: SequenceSlice, r: int, d: int, first_rows: np.ndarray, first_pivots: tuple[int, ...]
-) -> Recurrence | None:
+def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
     """The order-r recurrence of the (r, d) system, or None if it has none.
 
-    first_rows and first_pivots are the system in reduced row echelon form
-    mod _FIRST_PRIME (its nonzero rows only), as the order's screen left
-    them; every later prime of _prime_stream reduces the terms and the
-    system afresh, in vectorized int64.  Rank mod p never exceeds the
-    rational rank, so full column rank mod p certifies that only the zero
-    vector solves the system.  Otherwise the canonical nullspace basis mod p
-    (see _nullspace_mod_p) is combined across primes by CRT.
+    Every prime of _prime_stream reduces the terms and the system afresh,
+    in vectorized int64, with the columns in shift-major order: column
+    j*(d+1) + e holds n^e * s(n+j), so a solution's last nonzero coordinate
+    gives its order and then the degree of its top polynomial.  Rank mod p
+    never exceeds the rational rank, so full column rank mod p certifies
+    that only the zero vector solves the system.  Otherwise the RREF
+    nullspace basis mod p (see _nullspace_mod_p) is combined across primes
+    by CRT.
 
     After each combined prime one probe coordinate is rationally
     reconstructed.  Only when it gives the same fraction at two consecutive
@@ -381,24 +386,25 @@ def _fit(
     order-r solution with the least-degree leading polynomial, however many
     primes it took.
 
-    Pivots mod p never come earlier than the rational ones, in any fixed
-    column order, so the shift-major pivot shape to trust is the best seen
-    so far: more pivots first, then the lexicographically smaller pivot
-    columns.  A prime with a worse shape is skipped, and one with a better
-    shape restarts the combination.  Only finitely many primes are unlucky,
-    so the loop ends.
+    Pivots mod p never come earlier than the rational ones, so the pivot
+    shape to trust is the best seen so far: more pivots first, then the
+    lexicographically smaller pivot columns.  A prime with a worse shape is
+    skipped, and one with a better shape restarts the combination.  Only
+    finitely many primes are unlucky, so the loop ends.
     """
     n_cols = (r + 1) * (d + 1)
-    reductions = chain(
-        [(_FIRST_PRIME, first_rows, first_pivots)],
-        ((p, *_reduce(s, r, d, p)) for p in _prime_stream()),
-    )
+    # Column j*(d+1) + e of the fit is column e*(r+1) + j of _system.
+    shift_major = [e * (r + 1) + j for j in range(r + 1) for e in range(d + 1)]
     best_shape: tuple | None = None
-    for p, matrix, pivots in reductions:
+    for p in _prime_stream():
+        # take, unlike [:, shift_major], returns C order: rows stay contiguous
+        # for the row operations of _rref_mod_p.
+        matrix = _system(s, r, d, p).take(shift_major, axis=1)
+        pivots = _rref_mod_p(matrix, p)
         if len(pivots) == n_cols:
             return None  # full rank mod p: certified trivial nullspace
-        shift_pivots, basis = _nullspace_mod_p(matrix, pivots, p, r, d)
-        shape = (-len(shift_pivots), shift_pivots)
+        basis = _nullspace_mod_p(matrix, pivots, p)
+        shape = (-len(pivots), pivots)
         if best_shape is not None and shape > best_shape:
             continue  # p is unlucky
         if shape != best_shape:
@@ -433,11 +439,10 @@ def _fit(
     raise RuntimeError("prime stream exhausted")
 
 
-def _reduce(s: SequenceSlice, r: int, d: int, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The (r, d) system of s mod p in reduced row echelon form, and its
-    pivot columns.
+def _system(s: SequenceSlice, r: int, d: int, p: int) -> np.ndarray:
+    """The (r, d) system of s mod p, one row per shift n, with degree-major
+    columns: column e*(r+1) + j holds n^e * s(n+j).
 
-    Columns are degree-major: column e*(r+1) + j holds n^e * s(n+j).
     Entries stay below p < 2^31, so every product formed during modular
     elimination fits in int64 with room to spare.
     """
@@ -449,7 +454,13 @@ def _reduce(s: SequenceSlice, r: int, d: int, p: int) -> tuple[np.ndarray, tuple
     powers[:, 0] = 1
     for e in range(1, d + 1):
         powers[:, e] = powers[:, e - 1] * n_values % p
-    matrix = (powers[:, :, None] * shifts[:, None, :] % p).reshape(n_rows, -1)
+    return (powers[:, :, None] * shifts[:, None, :] % p).reshape(n_rows, -1)
+
+
+def _reduce(s: SequenceSlice, r: int, d: int, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The degree-major (r, d) system of s mod p in reduced row echelon
+    form, and its pivot columns."""
+    matrix = _system(s, r, d, p)
     return matrix, _rref_mod_p(matrix, p)
 
 
@@ -480,44 +491,24 @@ def _rref_mod_p(m: np.ndarray, p: int) -> tuple[int, ...]:
     return tuple(pivot_cols)
 
 
-def _nullspace_mod_p(
-    m: np.ndarray, pivot_cols: tuple[int, ...], p: int, r: int, d: int
-) -> tuple[tuple[int, ...], list[list[int]]]:
-    """The nullspace mod p of a degree-major (r, d) system in RREF, as its
-    canonical basis in shift-major coordinates, with the pivot columns of
-    the shift-major system.
+def _nullspace_mod_p(m: np.ndarray, pivot_cols: tuple[int, ...], p: int) -> list[list[int]]:
+    """The nullspace mod p of a system in RREF, one basis vector per free
+    column f in ascending order: coordinate f is 1, every other free
+    coordinate is 0, and the coordinate of each pivot is minus its row's
+    entry in column f.
 
-    Shift-major, coordinate j*(d+1) + e is the n^e coefficient of p_j, so
-    a solution's last nonzero coordinate gives its order and then the degree
-    of its top polynomial.  The canonical basis has one vector per free
-    column f of the shift-major system, in ascending order: coordinate f is
-    1, and the vector is 0 past f and at every other free column.  Its first
-    order-r vector is the order-r solution whose leading polynomial has the
-    least degree.  This is the reduction mod p of the unique rational basis
-    of that form whenever p preserves the shift-major pivot shape.
+    A row is zero left of its pivot, so each vector is also 0 past f.  Over
+    a fit's shift-major columns the first order-r vector is therefore the
+    order-r solution whose leading polynomial has the least degree, and the
+    basis is the reduction mod p of the unique rational basis of this form
+    whenever p preserves the pivot columns.
     """
     n_cols = m.shape[1]
     free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-    degree_major = np.zeros((len(free_cols), n_cols), dtype=np.int64)
-    degree_major[:, free_cols] = np.eye(len(free_cols), dtype=np.int64)
-    degree_major[:, pivot_cols] = -m[:len(pivot_cols), free_cols].T % p
-    shift_major = [e * (r + 1) + j for j in range(r + 1) for e in range(d + 1)]
-    pending = degree_major[:, shift_major].tolist()
-    # Gauss-Jordan on the basis, from the last shift-major coordinate down.
-    basis: dict[int, list[int]] = {}
-    for f in range(n_cols - 1, -1, -1):
-        vector = next((v for v in pending if v[f]), None)
-        if vector is None:
-            continue
-        pending.remove(vector)
-        inverse = pow(vector[f], p - 2, p)
-        vector = [c * inverse % p for c in vector]
-        for other in pending + list(basis.values()):
-            factor = other[f]
-            other[:] = [(c - factor * v) % p for c, v in zip(other, vector)]
-        basis[f] = vector
-    shift_pivots = tuple(c for c in range(n_cols) if c not in basis)
-    return shift_pivots, [basis[f] for f in sorted(basis)]
+    basis = np.zeros((len(free_cols), n_cols), dtype=np.int64)
+    basis[:, free_cols] = np.eye(len(free_cols), dtype=np.int64)
+    basis[:, pivot_cols] = -m[:len(pivot_cols), free_cols].T % p
+    return basis.tolist()
 
 
 def _crt_merge(combined: list[int], modulus: int, vector: list[int], p: int) -> list[int]:
@@ -555,8 +546,8 @@ def _rational_reconstruct(value: int, modulus: int) -> tuple[int, int] | None:
 
 
 def _prime_stream():
-    """The primes below _FIRST_PRIME in descending order: the later primes
-    of every fit, whose first prime is the order's screen."""
+    """The primes below _FIRST_PRIME in descending order, the primes of
+    every fit."""
     for n in range(_FIRST_PRIME - 2, 1 << 30, -2):
         if _is_prime(n):
             yield n

@@ -40,7 +40,7 @@ class TestLaguerre:
             assert [Fraction(c, math.factorial(a)) for c in scaled] == list(laguerre(a))
 
     def test_cache_returns_same_object(self):
-        assert laguerre(9) is laguerre(9)
+        assert scaled_laguerre(9) is scaled_laguerre(9)
 
     def test_negative_degree_rejected(self):
         import pytest

@@ -101,6 +101,18 @@ class TestGuess:
             ["-4294967296", "-4294967294"], ["1", "2147483647"]
         ]
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_unlucky_fit_prime_with_worse_pivot_shape(self, index):
+        # Mod q the terms reduce to 2^n, whose (1, 1) system has a larger
+        # nullspace than the rational one.  As the fit's first prime, q is
+        # replaced when the second prime shows a better pivot shape; as its
+        # second prime, q is skipped.
+        stream = recurrences._prime_stream()
+        q = [next(stream) for _ in range(2)][index]
+        terms = tuple(2**n * (1 + q * n) for n in range(30))
+        rec = guess_recurrence(SequenceSlice(0, terms), 2, 2)
+        assert rec.coeff_polys == ((-2 - 2 * q, -2 * q), (1, q))
+
     def test_rank_deficient_mod_first_prime_but_full_rank_over_q(self):
         m = (1 << 31) - 1
         terms = tuple(2**n + m * (n**3 % 7 + n) for n in range(30))
@@ -203,11 +215,11 @@ class TestPinnedGuesses:
             reductions.append((p, bool(inside_fit)))
             return rref(m, p)
 
-        def counting_fit(s, r, d, first_rows, first_pivots):
+        def counting_fit(s, r, d):
             fitted.append((r, d))
             inside_fit.append(True)
             try:
-                return fit(s, r, d, first_rows, first_pivots)
+                return fit(s, r, d)
             finally:
                 inside_fit.pop()
 
@@ -255,9 +267,9 @@ class TestGuessCorpus:
 
 
 class TestOrderScreen:
-    """A candidate's first prime is the leading block of its order's screen:
-    the RREF of the (r, d) system is the leading column block of the RREF
-    of the (r, 3) system, mod the screen's prime and mod a later one."""
+    """The screen decides every candidate of an order from one RREF: the
+    RREF of the (r, d) system is the leading column block of the RREF of
+    the (r, 3) system, mod the screen's prime and mod a later one."""
 
     @given(
         terms=st.one_of(
@@ -284,6 +296,33 @@ class TestOrderScreen:
                     assert all(c >= boundary for c in top_pivots[rank:])
                     np.testing.assert_array_equal(top[:rank, :boundary], block[:rank])
                     assert not block[rank:].any()
+
+
+@given(
+    terms=st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=14),
+    offset=st.integers(min_value=0, max_value=3),
+    r=st.integers(min_value=1, max_value=3),
+    d=st.integers(min_value=0, max_value=2),
+    p=st.sampled_from([5, recurrences._FIRST_PRIME]),
+)
+def test_nullspace_basis_is_canonical(terms, offset, r, d, p):
+    # The shift-major system, built here from its definition: column
+    # j*(d+1) + e holds n^e * s(n+j).
+    rows = [
+        [n**e * terms[n - offset + j] % p for j in range(r + 1) for e in range(d + 1)]
+        for n in range(offset, offset + len(terms) - r)
+    ]
+    n_cols = (r + 1) * (d + 1)
+    m = np.array(rows, dtype=np.int64).reshape(len(rows), n_cols)
+    pivots = recurrences._rref_mod_p(m, p)
+    free_cols = [c for c in range(n_cols) if c not in pivots]
+    basis = recurrences._nullspace_mod_p(m, pivots, p)
+    assert len(basis) == len(free_cols)
+    for f, vector in zip(free_cols, basis):
+        assert all(sum(a * v for a, v in zip(row, vector)) % p == 0 for row in rows)
+        assert vector[f] == 1
+        assert not any(vector[f + 1:])
+        assert all(vector[c] == 0 for c in free_cols if c != f)
 
 
 def test_prime_stream_is_the_primes_below_the_first_prime():
@@ -461,6 +500,27 @@ class TestSerialization:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             recurrence_from_json('{"order": -1, "coeff_polys": []}')
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"order": 1, "coeff_polys": ["12", ["1"]]}',
+            '{"order": 1, "coeff_polys": [[12], ["1"]]}',
+            '{"order": 1, "coeff_polys": "12"}',
+            '{"coeff_polys": [["1"], ["1"]]}',
+            '{"order": 1}',
+            '[["1"], ["1"]]',
+            '{"order": "1", "coeff_polys": [["1"], ["1"]]}',
+            '{"order": true, "coeff_polys": [["-1"], ["1"]]}',
+        ],
+        ids=[
+            "string-poly", "number-coefficient", "string-polys", "missing-order",
+            "missing-polys", "array-document", "string-order", "bool-order",
+        ],
+    )
+    def test_malformed_document_rejected(self, text):
+        with pytest.raises(ValueError):
+            recurrence_from_json(text)
 
     @pytest.mark.parametrize("top", ["[]", '["0"]', '["0", "0"]'])
     def test_zero_leading_polynomial_rejected(self, top):
