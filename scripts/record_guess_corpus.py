@@ -6,7 +6,10 @@ interleaved-zero sequences, zero prefixes, polynomial multiples with zeros
 at their roots, periodic sequences times (n+1), and perturbed tails, over
 offsets 0-4, order caps 1-4 and degree caps 0-4.  Several of these have
 accepted candidates whose nullspace has dimension 2 or more, where the
-choice of basis vector decides the printed recurrence.
+choice of basis vector decides the printed recurrence.  The last family
+is unlucky for the fit's first prime: mod that prime its terms have a
+larger nullspace than over the rationals, so the rows independent mod the
+first prime do not determine the rational nullspace.
 
 Each case stores its input (terms, offset, caps) with the recurrence JSON
 or the name of the exception the guesser raised.  The data is meant to be
@@ -25,7 +28,7 @@ import sys
 
 from multiderange.counting import classic_derangement
 from multiderange.errors import InsufficientData, RecurrenceNotFound
-from multiderange.recurrences import guess_recurrence, recurrence_to_json
+from multiderange.recurrences import _prime_stream, guess_recurrence, recurrence_to_json
 from multiderange.sequences import SequenceSlice
 
 SEED = 20261018
@@ -101,6 +104,31 @@ def perturbed_tail(rng: random.Random, length: int) -> list[int]:
     return terms
 
 
+def unlucky_fit_prime(rng: random.Random, length: int) -> list[int]:
+    """Terms whose reduction mod q, the first prime of every fit (sometimes
+    the second), satisfies more relations than the terms do:
+    ratio^n (1 + q n), which is ratio^n mod q; ((1 + q) n - a) 3^n, which is
+    (n - a) 3^n mod q; or a spike v at k plus a spike q w at j, which is a
+    single spike mod q.  The two spikes' accepted (1, 2) candidate has a
+    two-dimensional rational nullspace, p_0 = (n - k)(n - j) with p_1 = 0
+    and p_0 = 0 with p_1 = (n - k + 1)(n - j + 1)."""
+    stream = _prime_stream()
+    first, second = next(stream), next(stream)
+    q = rng.choice((first, first, second))
+    kind = rng.randrange(3)
+    if kind == 0:
+        ratio = rng.choice((2, -2, 3))
+        return [ratio**n * (1 + q * n) for n in range(length)]
+    if kind == 1:
+        a = rng.randrange(1, 8)
+        return [((1 + q) * n - a) * 3**n for n in range(length)]
+    k, j = sorted(rng.sample(range(1, length - 1), 2))
+    terms = [0] * length
+    terms[k] = rng.choice((1, -3, 7))
+    terms[j] = q * rng.choice((1, 2, -5))
+    return terms
+
+
 FAMILIES = {
     "zero_heavy": zero_heavy,
     "interleaved_zeros": interleaved_zeros,
@@ -108,6 +136,7 @@ FAMILIES = {
     "polynomial_times_power": polynomial_times_power,
     "periodic_times_linear": periodic_times_linear,
     "perturbed_tail": perturbed_tail,
+    "unlucky_fit_prime": unlucky_fit_prime,
 }
 
 CASES_PER_FAMILY = 25

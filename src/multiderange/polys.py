@@ -110,12 +110,22 @@ def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 
 def int_product(factors: Sequence[Sequence[int]]) -> Sequence[int]:
-    """Product of integer polynomials over a balanced pairing tree; [] gives [1]."""
+    """Product of integer polynomials over a balanced pairing tree; [] gives [1].
+
+    A pair whose operands are the same objects as the previous pair's reuses
+    that pair's product, so n copies of one factor (a power, or a run of
+    cached equal factors) cost about log2(n) multiplies, not n - 1.
+    """
     items = list(factors)
     if not items:
         return [1]
     while len(items) > 1:
-        paired = [int_mul(items[i], items[i + 1]) for i in range(0, len(items) - 1, 2)]
+        paired: list[Sequence[int]] = []
+        for i in range(0, len(items) - 1, 2):
+            if i and items[i] is items[i - 2] and items[i + 1] is items[i - 1]:
+                paired.append(paired[-1])
+            else:
+                paired.append(int_mul(items[i], items[i + 1]))
         if len(items) % 2:
             paired.append(items[-1])
         items = paired

@@ -9,15 +9,18 @@ when its homogeneous system over all usable shifts is overdetermined by a
 fixed margin and has a solution of the candidate's order.
 
 Rank mod p never exceeds the rational rank, so a prime with full column
-rank proves a system has no solution.  A screen decides which candidates
-are fitted, in the degree-major column layout: column e*(r+1) + j holds
-n^e * s(n+j).  The rows of an (r, d) system depend only on r, so each
-(r, d) system is the leading (r+1)*(d+1)-column block of its order's system
-of the largest feasible degree, and the RREF of a leading block is the
-leading block of the RREF.  The first time the scan reaches order r, that
-largest system is brought to RREF mod the screen's prime, once.  A
-candidate's rank there is the number of pivots left of its block boundary,
-and a candidate with full rank is rejected without a fit.
+rank proves a system has no solution.  All modular linear algebra goes
+through one kernel, forward elimination mod p (_echelon_mod_p), whose pivot
+columns are those of the reduced row echelon form.  A screen decides which
+candidates are fitted, in the degree-major column layout: column
+e*(r+1) + j holds n^e * s(n+j).  The rows of an (r, d) system depend only
+on r, so each (r, d) system is the leading (r+1)*(d+1)-column block of its
+order's system of the largest feasible degree, and the pivots of a leading
+block are the pivots of the whole system left of its boundary.  The first
+time the scan reaches order r, that largest system is reduced mod the
+screen's prime, once.  A candidate's rank there is the number of pivots
+left of its block boundary, and a candidate with full rank is rejected
+without a fit.
 
 One exact solver fits every other candidate.  It reduces the system mod a
 descending stream of other 31-bit primes, again rejecting on full column
@@ -25,12 +28,17 @@ rank, with the columns in shift-major order: all the columns of s(n) first,
 then those of s(n+1), ...  The RREF nullspace basis of that layout has one
 vector per free column, 1 there and 0 past it and at every other free
 column, so its first order-r vector is the order-r solution with the
-least-degree leading polynomial.  Basis vectors are combined across primes
-by CRT and rationally reconstructed once a probe coordinate reconstructs
-to the same fraction at two consecutive moduli.  Rank and pivot columns
-mod p can only be worse than over the rationals, never better, so only
-primes with the best pivot shape seen so far are combined: more pivots
-first, then earlier pivot columns.
+least-degree leading polynomial; back-substitution over the pivot block
+gives it from the echelon form.  The fit's first prime reduces every row
+and picks its pivot rows, which are independent over Q; every later prime
+reduces only those rows, and the fit goes back to all rows if a vector
+from the subset fails the exact check (see _fit for why the output is the
+same either way).  Basis vectors are combined across primes by CRT and
+rationally reconstructed once a probe coordinate reconstructs to the same
+fraction at two consecutive moduli.  Rank and pivot columns mod p can only
+be worse than over the rationals, never better, so only primes with the
+best pivot shape seen so far are combined: more pivots first, then earlier
+pivot columns.
 
 One exact check accepts: a reconstructed vector is returned only as a
 recurrence of the candidate's order (nonzero top coefficient block) that
@@ -75,8 +83,8 @@ GUESS_MARGIN = 10
 DEFAULT_MAX_ORDER = 12
 DEFAULT_MAX_DEGREE = 12
 
-# The prime of the per-order screen.  One RREF mod this prime per order
-# rejects most candidates of that order.
+# The prime of the per-order screen.  One reduction mod this prime per
+# order rejects most candidates of that order.
 # 2^31 - 1 is prime and its squares fit comfortably in int64.
 _FIRST_PRIME = (1 << 31) - 1
 
@@ -364,6 +372,18 @@ def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
     nullspace basis mod p (see _nullspace_mod_p) is combined across primes
     by CRT.
 
+    The first prime reduces every row and picks the rows: its pivot rows,
+    which are independent mod p and so over Q.  Every later prime reduces
+    only those rows, the system A_S, whose rank is A's rank whenever the
+    first prime was lucky.  The output cannot change: N(A) lies in N(A_S),
+    every vector accepted below passes the exact check on all of A's rows,
+    and when the first i+1 canonical vectors of N(A_S) lie in N(A) they span
+    the part of N(A_S) up to the (i+1)-th free column, so they are also the
+    first i+1 canonical vectors of N(A).  If a vector fails the exact check
+    while the rows are restricted, the first prime may have been unlucky:
+    the fit goes back to all rows for the rest of its primes and restarts
+    the combination.
+
     After each combined prime one probe coordinate is rationally
     reconstructed.  Only when it gives the same fraction at two consecutive
     moduli is the whole basis reconstructed, vector by vector in basis
@@ -390,27 +410,34 @@ def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
     shape to trust is the best seen so far: more pivots first, then the
     lexicographically smaller pivot columns.  A prime with a worse shape is
     skipped, and one with a better shape restarts the combination.  Only
-    finitely many primes are unlucky, so the loop ends.
+    finitely many primes are unlucky, and the rows go back to all of A at
+    most once, so the loop ends.
     """
     n_cols = (r + 1) * (d + 1)
     # Column j*(d+1) + e of the fit is column e*(r+1) + j of _system.
     shift_major = [e * (r + 1) + j for j in range(r + 1) for e in range(d + 1)]
     best_shape: tuple | None = None
+    rows: tuple[int, ...] | None = None  # None: every row
+    pick_rows = True
     for p in _prime_stream():
         # take, unlike [:, shift_major], returns C order: rows stay contiguous
-        # for the row operations of _rref_mod_p.
+        # for the row operations of _echelon_mod_p.
         matrix = _system(s, r, d, p).take(shift_major, axis=1)
-        pivots = _rref_mod_p(matrix, p)
+        if rows is not None:
+            matrix = matrix.take(rows, axis=0)
+        pivots, pivot_rows = _echelon_mod_p(matrix, p)
         if len(pivots) == n_cols:
             return None  # full rank mod p: certified trivial nullspace
-        basis = _nullspace_mod_p(matrix, pivots, p)
         shape = (-len(pivots), pivots)
         if best_shape is not None and shape > best_shape:
             continue  # p is unlucky
+        basis = _nullspace_mod_p(matrix, pivots, p)
         if shape != best_shape:
             best_shape = shape
             combined, modulus = basis, p
             probe, settled = (0, 0), None
+            if pick_rows:
+                rows, pick_rows = pivot_rows, False
         else:
             combined = [
                 _crt_merge(old, modulus, new, p)
@@ -429,8 +456,10 @@ def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
                 break
             rec = _vector_to_recurrence(pairs, r, d)
             # The order-r rows: the shifts at which every (r, d) vector is checked.
-            rows = SequenceSlice(s.offset, s.terms[:len(s.terms) - r + rec.order])
-            if not verify_recurrence(rec, rows).ok:
+            shifts = SequenceSlice(s.offset, s.terms[:len(s.terms) - r + rec.order])
+            if not verify_recurrence(rec, shifts).ok:
+                if rows is not None:
+                    rows, best_shape = None, None  # back to every row
                 break
             if rec.order == r:
                 return rec
@@ -458,62 +487,80 @@ def _system(s: SequenceSlice, r: int, d: int, p: int) -> np.ndarray:
 
 
 def _reduce(s: SequenceSlice, r: int, d: int, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The degree-major (r, d) system of s mod p in reduced row echelon
-    form, and its pivot columns."""
+    """The degree-major (r, d) system of s mod p in row echelon form (see
+    _echelon_mod_p), and its pivot columns."""
     matrix = _system(s, r, d, p)
-    return matrix, _rref_mod_p(matrix, p)
+    return matrix, _echelon_mod_p(matrix, p)[0]
 
 
-def _rref_mod_p(m: np.ndarray, p: int) -> tuple[int, ...]:
-    """In-place reduced row echelon form mod p; returns the pivot columns."""
+def _echelon_mod_p(m: np.ndarray, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """In-place row echelon form mod p by forward elimination; returns the
+    pivot columns and the original indices of the pivot rows.
+
+    Each column's pivot is the first nonzero entry at or below the current
+    row; it is scaled to 1 and only the rows below it are eliminated.  The
+    pivot columns are those of the reduced row echelon form, the leading
+    rank rows are unit upper triangular on them, and every row past the
+    rank is zero.  The pivot rows are independent mod p, hence over Q.
+    """
     n_rows, n_cols = m.shape
+    order = np.arange(n_rows)
     rank = 0
     pivot_cols: list[int] = []
     for col in range(n_cols):
-        below = m[rank:, col]
-        nonzero = np.flatnonzero(below)
+        nonzero = np.flatnonzero(m[rank:, col])
         if nonzero.size == 0:
             continue
         pivot_row = rank + int(nonzero[0])
         if pivot_row != rank:
             m[[rank, pivot_row]] = m[[pivot_row, rank]]
-        inverse = pow(int(m[rank, col]), p - 2, p)
-        m[rank, col:] = m[rank, col:] * inverse % p
-        factors = m[:, col].copy()
-        factors[rank] = 0
-        hit = np.flatnonzero(factors)
-        if hit.size:
-            m[hit, col:] = (m[hit, col:] - factors[hit, None] * m[rank, col:]) % p
+            order[[rank, pivot_row]] = order[[pivot_row, rank]]
+        row = m[rank, col:]
+        row *= pow(int(row[0]), -1, p)
+        row %= p
+        below = m[rank + 1:, col + 1:]
+        below -= np.multiply.outer(m[rank + 1:, col], row[1:])
+        below %= p
+        m[rank + 1:, col] = 0
         pivot_cols.append(col)
         rank += 1
         if rank == n_rows:
             break
-    return tuple(pivot_cols)
+    return tuple(pivot_cols), tuple(order[:rank].tolist())
 
 
 def _nullspace_mod_p(m: np.ndarray, pivot_cols: tuple[int, ...], p: int) -> list[list[int]]:
-    """The nullspace mod p of a system in RREF, one basis vector per free
-    column f in ascending order: coordinate f is 1, every other free
-    coordinate is 0, and the coordinate of each pivot is minus its row's
-    entry in column f.
+    """The nullspace mod p of a system in the row echelon form of
+    _echelon_mod_p, one basis vector per free column f in ascending order:
+    coordinate f is 1, every other free coordinate is 0, and the coordinate
+    of each pivot is minus its row's entry in column f of the reduced row
+    echelon form.
 
-    A row is zero left of its pivot, so each vector is also 0 past f.  Over
-    a fit's shift-major columns the first order-r vector is therefore the
-    order-r solution whose leading polynomial has the least degree, and the
-    basis is the reduction mod p of the unique rational basis of this form
-    whenever p preserves the pivot columns.
+    Only those free-column entries are reduced, by back-substitution over
+    the unit upper-triangular pivot block: rank^2 * nullity operations
+    rather than a full Gauss-Jordan pass.  A reduced row is zero left of
+    its pivot, so each vector is also 0 past f.  Over a fit's shift-major
+    columns the first order-r vector is therefore the order-r solution
+    whose leading polynomial has the least degree, and the basis is the
+    reduction mod p of the unique rational basis of this form whenever p
+    preserves the pivot columns.
     """
     n_cols = m.shape[1]
     free_cols = [c for c in range(n_cols) if c not in pivot_cols]
+    reduced = m[:len(pivot_cols), free_cols]
+    for i in range(len(pivot_cols) - 1, 0, -1):
+        # Row i is reduced: clear its pivot column from the rows above.
+        reduced[:i] -= np.multiply.outer(m[:i, pivot_cols[i]], reduced[i])
+        reduced[:i] %= p
     basis = np.zeros((len(free_cols), n_cols), dtype=np.int64)
     basis[:, free_cols] = np.eye(len(free_cols), dtype=np.int64)
-    basis[:, pivot_cols] = -m[:len(pivot_cols), free_cols].T % p
+    basis[:, pivot_cols] = -reduced.T % p
     return basis.tolist()
 
 
 def _crt_merge(combined: list[int], modulus: int, vector: list[int], p: int) -> list[int]:
     """Values mod modulus*p that agree with combined mod modulus and vector mod p."""
-    inverse = pow(modulus % p, p - 2, p)
+    inverse = pow(modulus % p, -1, p)
     return [c + modulus * ((v - c) * inverse % p) for c, v in zip(combined, vector)]
 
 

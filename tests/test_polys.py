@@ -1,5 +1,6 @@
 import decimal
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given
@@ -29,6 +30,7 @@ small_fractions = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
 )
 small_polys = st.lists(small_fractions, max_size=7).map(poly)
+int_polys = st.lists(st.integers(min_value=-50, max_value=50), max_size=6)
 
 # Signed integer coefficients: zeros, word-sized ones, and ones of more than
 # 4300 digits (past CPython's default int <-> str limit).
@@ -120,6 +122,17 @@ class TestProperties:
     @given(small_polys, st.integers(min_value=0, max_value=8))
     def test_power_matches_product(self, p, e):
         assert power(p, e) == product([p] * e)
+
+    @given(int_polys, st.integers(min_value=0, max_value=13))
+    def test_int_product_of_repeated_factor(self, p, n):
+        # [p] * n holds one object n times, whose equal pairs share a product.
+        assert polys.int_product([p] * n) == polys.int_product([list(p) for _ in range(n)])
+        assert polys.int_product([p] * n) == reduce(polys.int_mul, [p] * n, [1])
+
+    @given(int_polys, int_polys, st.lists(st.booleans(), max_size=12))
+    def test_int_product_of_shared_factors(self, p, q, picks):
+        factors = [p if pick else q for pick in picks]
+        assert polys.int_product(factors) == reduce(polys.int_mul, factors, [1])
 
     @given(small_polys, small_polys)
     def test_results_are_normalized(self, p, q):

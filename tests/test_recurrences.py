@@ -102,16 +102,34 @@ class TestGuess:
         ]
 
     @pytest.mark.parametrize("index", [0, 1])
-    def test_unlucky_fit_prime_with_worse_pivot_shape(self, index):
-        # Mod q the terms reduce to 2^n, whose (1, 1) system has a larger
-        # nullspace than the rational one.  As the fit's first prime, q is
-        # replaced when the second prime shows a better pivot shape; as its
-        # second prime, q is skipped.
+    def test_unlucky_fit_prime_with_worse_pivot_shape(self, index, monkeypatch):
+        # Mod q the terms reduce to 2^n, whose (1, 1) system has rank 2
+        # where the rational one has rank 3.  As the fit's first prime, q
+        # picks 2 rows, whose nullspace holds a vector that fails on the
+        # other rows, so the fit goes back to all 29 rows; as its second
+        # prime, q is skipped on the 3 rows the first prime picked.
+        fit_rows = []
+        echelon = recurrences._echelon_mod_p
+
+        def counting_echelon(m, p):
+            if p != recurrences._FIRST_PRIME:
+                fit_rows.append(m.shape[0])
+                # A fit stuck on the wrong rows would run the stream forever.
+                assert len(fit_rows) < 100
+            return echelon(m, p)
+
+        monkeypatch.setattr(recurrences, "_echelon_mod_p", counting_echelon)
         stream = recurrences._prime_stream()
         q = [next(stream) for _ in range(2)][index]
         terms = tuple(2**n * (1 + q * n) for n in range(30))
         rec = guess_recurrence(SequenceSlice(0, terms), 2, 2)
         assert rec.coeff_polys == ((-2 - 2 * q, -2 * q), (1, q))
+        assert fit_rows[0] == 29
+        if index == 0:
+            assert fit_rows[1] == 2
+            assert fit_rows[-1] == 29
+        else:
+            assert set(fit_rows[1:]) == {3}
 
     def test_rank_deficient_mod_first_prime_but_full_rank_over_q(self):
         m = (1 << 31) - 1
@@ -209,11 +227,12 @@ class TestPinnedGuesses:
     def test_one_screen_per_order_and_one_fit(self, family_prefixes, monkeypatch):
         # fixed k = 4 at seed 110 is accepted at order 6, degree 7
         reductions, fitted, inside_fit = [], [], []
-        rref, fit = recurrences._rref_mod_p, recurrences._fit
+        echelon, fit = recurrences._echelon_mod_p, recurrences._fit
 
-        def counting_rref(m, p):
-            reductions.append((p, bool(inside_fit)))
-            return rref(m, p)
+        def counting_echelon(m, p):
+            pivots, pivot_rows = echelon(m, p)
+            reductions.append((p, bool(inside_fit), m.shape[0], len(pivots)))
+            return pivots, pivot_rows
 
         def counting_fit(s, r, d):
             fitted.append((r, d))
@@ -223,17 +242,25 @@ class TestPinnedGuesses:
             finally:
                 inside_fit.pop()
 
-        monkeypatch.setattr(recurrences, "_rref_mod_p", counting_rref)
+        monkeypatch.setattr(recurrences, "_echelon_mod_p", counting_echelon)
         monkeypatch.setattr(recurrences, "_fit", counting_fit)
         terms = family_prefixes["fixed_k/4"][:110 - GUESS_MARGIN]
         rec = guess_recurrence(
             SequenceSlice(0, tuple(terms)), DEFAULT_MAX_ORDER, DEFAULT_MAX_DEGREE
         )
         first = recurrences._FIRST_PRIME
-        assert reductions.count((first, False)) == DEFAULT_MAX_ORDER
-        assert (first, True) not in reductions
+        primes = [(p, inside) for p, inside, _, _ in reductions]
+        assert primes.count((first, False)) == DEFAULT_MAX_ORDER
+        assert (first, True) not in primes
         assert rec.order == 6
         assert fitted == [(6, 7)]
+        # The fit's first prime picks its pivot rows; every later prime
+        # reduces exactly those rows.
+        fit_primes = [(n_rows, rank) for _, inside, n_rows, rank in reductions if inside]
+        picking_rank = fit_primes[0][1]
+        assert fit_primes[0][0] > picking_rank
+        assert len(fit_primes) > 1
+        assert all(n_rows == picking_rank for n_rows, _ in fit_primes[1:])
 
 
 # Guesser output on a seeded corpus beyond the families (zero-heavy,
@@ -267,9 +294,10 @@ class TestGuessCorpus:
 
 
 class TestOrderScreen:
-    """The screen decides every candidate of an order from one RREF: the
-    RREF of the (r, d) system is the leading column block of the RREF of
-    the (r, 3) system, mod the screen's prime and mod a later one."""
+    """The screen decides every candidate of an order from one reduction:
+    the row echelon form of the (r, d) system is the leading column block
+    of that of the (r, 3) system, mod the screen's prime and mod a later
+    one."""
 
     @given(
         terms=st.one_of(
@@ -314,7 +342,7 @@ def test_nullspace_basis_is_canonical(terms, offset, r, d, p):
     ]
     n_cols = (r + 1) * (d + 1)
     m = np.array(rows, dtype=np.int64).reshape(len(rows), n_cols)
-    pivots = recurrences._rref_mod_p(m, p)
+    pivots, _ = recurrences._echelon_mod_p(m, p)
     free_cols = [c for c in range(n_cols) if c not in pivots]
     basis = recurrences._nullspace_mod_p(m, pivots, p)
     assert len(basis) == len(free_cols)
@@ -323,6 +351,69 @@ def test_nullspace_basis_is_canonical(terms, offset, r, d, p):
         assert vector[f] == 1
         assert not any(vector[f + 1:])
         assert all(vector[c] == 0 for c in free_cols if c != f)
+
+
+def _reference_pivots(rows, n_cols, p):
+    """The pivot columns of the RREF of rows mod p, by textbook Gauss-Jordan
+    on lists."""
+    rows = [[x % p for x in row] for row in rows]
+    pivots = []
+    for col in range(n_cols):
+        rank = len(pivots)
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inverse = pow(rows[rank][col], -1, p)
+        rows[rank] = [x * inverse % p for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                rows[i] = [(x - row[col] * y) % p for x, y in zip(row, rows[rank])]
+        pivots.append(col)
+    return tuple(pivots)
+
+
+def _product_rows(left, right):
+    return [[sum(a * b for a, b in zip(row, column)) for column in zip(*right)] for row in left]
+
+
+def _small_systems(n_cols):
+    """Rows of n_cols small entries, or a product through 2 columns, whose
+    rank is at most 2."""
+    return st.one_of(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=n_cols, max_size=n_cols),
+            min_size=1, max_size=9,
+        ),
+        st.builds(
+            _product_rows,
+            st.lists(st.lists(st.integers(-3, 3), min_size=2, max_size=2), min_size=1, max_size=9),
+            st.lists(
+                st.lists(st.integers(-10**6, 10**6), min_size=n_cols, max_size=n_cols),
+                min_size=2, max_size=2,
+            ),
+        ),
+    )
+
+
+@given(
+    rows=st.integers(min_value=1, max_value=7).flatmap(_small_systems),
+    p=st.sampled_from([5, recurrences._FIRST_PRIME]),
+)
+def test_echelon_pivots_and_pivot_rows(rows, p):
+    m = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+    pivots, pivot_rows = recurrences._echelon_mod_p(m, p)
+    n_cols = m.shape[1]
+    assert pivots == _reference_pivots(rows, n_cols, p)
+    # The pivot rows have full rank mod p, and the same pivot columns.
+    assert len(pivot_rows) == len(pivots)
+    assert _reference_pivots([rows[i] for i in pivot_rows], n_cols, p) == pivots
+    # Row echelon form: unit pivots, zeros left of and below each pivot.
+    for i, col in enumerate(pivots):
+        assert m[i, col] == 1
+        assert not m[i, :col].any()
+        assert not m[i + 1:, col].any()
+    assert not m[len(pivots):].any()
 
 
 def test_prime_stream_is_the_primes_below_the_first_prime():
