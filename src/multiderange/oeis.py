@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import os
 import re
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -155,6 +153,11 @@ def _parse_bfile_bytes(data: bytes, source) -> SequenceSlice:
 
 
 def _http_get(url: str, timeout: float) -> bytes:
+    # Imported here: the network stack costs more to import than an offline
+    # command takes to run.
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:
             return response.read()

@@ -62,8 +62,6 @@ from dataclasses import dataclass
 from decimal import localcontext
 from math import gcd, isqrt, lcm
 
-import numpy as np
-
 from .bigint import _EXACT, from_decimal, to_decimal
 from .counting import uniform_prefix
 from .errors import (
@@ -74,6 +72,10 @@ from .errors import (
     RecurrenceNotFound,
 )
 from .sequences import SequenceSlice
+
+# numpy is imported only inside the functions that use it (_system,
+# _echelon_mod_p, _nullspace_mod_p): loading it takes longer than any
+# command that guesses no recurrence, and those commands never need it.
 
 # Equations beyond unknowns required before a fit may be accepted.
 GUESS_MARGIN = 10
@@ -422,9 +424,7 @@ def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
     for p in _prime_stream():
         # take, unlike [:, shift_major], returns C order: rows stay contiguous
         # for the row operations of _echelon_mod_p.
-        matrix = _system(s, r, d, p).take(shift_major, axis=1)
-        if rows is not None:
-            matrix = matrix.take(rows, axis=0)
+        matrix = _system(s, r, d, p, rows).take(shift_major, axis=1)
         pivots, pivot_rows = _echelon_mod_p(matrix, p)
         if len(pivots) == n_cols:
             return None  # full rank mod p: certified trivial nullspace
@@ -468,22 +468,33 @@ def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
     raise RuntimeError("prime stream exhausted")
 
 
-def _system(s: SequenceSlice, r: int, d: int, p: int) -> np.ndarray:
+def _system(
+    s: SequenceSlice, r: int, d: int, p: int, rows: tuple[int, ...] | None = None
+) -> np.ndarray:
     """The (r, d) system of s mod p, one row per shift n, with degree-major
     columns: column e*(r+1) + j holds n^e * s(n+j).
 
-    Entries stay below p < 2^31, so every product formed during modular
-    elimination fits in int64 with room to spare.
+    rows picks the shifts to build, by index from s.offset and in that
+    order; None builds every row.  Terms past the last picked row's top
+    shift are not reduced.  Entries stay below p < 2^31, so every product
+    formed during modular elimination fits in int64 with room to spare.
     """
-    terms_mod = np.array([t % p for t in s.terms], dtype=np.int64)
-    n_rows = len(terms_mod) - r
-    shifts = np.stack([terms_mod[j:j + n_rows] for j in range(r + 1)], axis=1)
-    n_values = np.arange(s.offset, s.offset + n_rows, dtype=np.int64) % p
-    powers = np.empty((n_rows, d + 1), dtype=np.int64)
+    import numpy as np
+
+    if rows is None:
+        index = np.arange(len(s.terms) - r)
+    else:
+        index = np.array(rows, dtype=np.intp)
+    end = int(index.max()) + r + 1 if index.size else 0
+    terms_mod = np.array([t % p for t in s.terms[:end]], dtype=np.int64)
+    shifts = terms_mod[index[:, None] + np.arange(r + 1)]
+    n_values = (index + s.offset) % p
+    powers = np.empty((len(index), d + 1), dtype=np.int64)
     powers[:, 0] = 1
     for e in range(1, d + 1):
         powers[:, e] = powers[:, e - 1] * n_values % p
-    return (powers[:, :, None] * shifts[:, None, :] % p).reshape(n_rows, -1)
+    products = powers[:, :, None] * shifts[:, None, :] % p
+    return products.reshape(len(index), (d + 1) * (r + 1))
 
 
 def _reduce(s: SequenceSlice, r: int, d: int, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -503,6 +514,8 @@ def _echelon_mod_p(m: np.ndarray, p: int) -> tuple[tuple[int, ...], tuple[int, .
     rank rows are unit upper triangular on them, and every row past the
     rank is zero.  The pivot rows are independent mod p, hence over Q.
     """
+    import numpy as np
+
     n_rows, n_cols = m.shape
     order = np.arange(n_rows)
     rank = 0
@@ -545,6 +558,8 @@ def _nullspace_mod_p(m: np.ndarray, pivot_cols: tuple[int, ...], p: int) -> list
     reduction mod p of the unique rational basis of this form whenever p
     preserves the pivot columns.
     """
+    import numpy as np
+
     n_cols = m.shape[1]
     free_cols = [c for c in range(n_cols) if c not in pivot_cols]
     reduced = m[:len(pivot_cols), free_cols]

@@ -33,16 +33,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_module(*argv):
-    """`python -m multiderange ...` in a fresh interpreter."""
+def run_python(*argv, **env):
+    """`python ...` in a fresh interpreter that imports the package from src,
+    with env added to the environment."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     ))
     return subprocess.run(
-        [sys.executable, "-m", "multiderange", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def run_module(*argv):
+    """`python -m multiderange ...` in a fresh interpreter."""
+    return run_python("-m", "multiderange", *argv)
 
 
 class TestDecimalApprox:
@@ -536,3 +541,35 @@ def test_python_dash_m_entry_point():
     done = run_module("derange", "5")
     assert done.returncode == 0
     assert done.stdout == "44\n"
+
+
+# Runs the commands that guess nothing, then guess, in one fresh interpreter,
+# and reports which of the heavy modules each part loaded.
+LAZY_IMPORTS_SCRIPT = """
+import contextlib, io, json, sys
+from multiderange.cli import main
+heavy = ("numpy", "urllib.request", "http.client", "ssl")
+runs = [
+    ["deck"], ["multi", "4", "4", "2"], ["prob", "3", "3"], ["derange", "20"],
+    ["oeis-check", "--id", "A059074", "--fixed", "k", "--value", "4", "--count", "12"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in runs]
+    loaded = [name for name in heavy if name in sys.modules]
+    codes.append(main(["guess", "--terms-file", sys.argv[1]]))
+print(json.dumps({"codes": codes, "loaded": loaded, "guess_numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_only_guessing_loads_numpy_and_nothing_offline_loads_the_network(tmp_path):
+    terms_file = tmp_path / "terms.txt"
+    terms_file.write_text("".join(f"{classic_derangement(n)}\n" for n in range(30)))
+    done = run_python(
+        "-c", LAZY_IMPORTS_SCRIPT, str(terms_file),
+        MULTIDERANGE_OFFLINE="1", MULTIDERANGE_OEIS_CACHE=str(tmp_path / "cache"),
+    )
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert report["codes"] == [0] * 6
+    assert report["loaded"] == []
+    assert report["guess_numpy"]

@@ -1,5 +1,9 @@
+import urllib.error
+import urllib.request
+
 import pytest
 
+from multiderange import oeis
 from multiderange.counting import classic_derangement, uniform_fixed_k_prefix
 from multiderange.errors import NetworkUnavailable, SequenceParseError, UnknownSequence
 from multiderange.oeis import OeisClient, default_cache_dir
@@ -189,3 +193,25 @@ class TestEndpointOverride:
         )
         client.fetch_terms("A999989")
         assert seen == ["http://localhost:9/A999989/b999989.txt"]
+
+
+class TestHttpGet:
+    """The default transport maps a 404 to UnknownSequence and lets every
+    other HTTP error through."""
+
+    @staticmethod
+    def failing_urlopen(code):
+        def urlopen(url, timeout):
+            raise urllib.error.HTTPError(url, code, "status", {}, None)
+        return urlopen
+
+    def test_not_found_is_unknown_sequence(self, monkeypatch):
+        monkeypatch.setattr(urllib.request, "urlopen", self.failing_urlopen(404))
+        with pytest.raises(UnknownSequence):
+            oeis._http_get("https://example.invalid/b999999.txt", 1.0)
+
+    def test_server_error_is_raised(self, monkeypatch):
+        monkeypatch.setattr(urllib.request, "urlopen", self.failing_urlopen(500))
+        with pytest.raises(urllib.error.HTTPError) as info:
+            oeis._http_get("https://example.invalid/b000166.txt", 1.0)
+        assert info.value.code == 500

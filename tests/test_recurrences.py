@@ -54,6 +54,11 @@ class TestGuess:
         assert rec.coeff_polys == ((-1,), (1,))
         assert format_recurrence(rec) == "s(n+1) - s(n) = 0"
 
+    def test_zero_sequence(self):
+        # The first fit prime picks no pivot rows: later primes build 0 rows.
+        rec = guess_recurrence(SequenceSlice(0, (0,) * 20), 3, 3)
+        assert rec.coeff_polys == ((), (1,))
+
     def test_geometric_sequence(self):
         rec = guess_recurrence(SequenceSlice(0, tuple(2**i for i in range(20))), 3, 3)
         assert rec.coeff_polys == ((-2,), (1,))
@@ -414,6 +419,22 @@ def test_echelon_pivots_and_pivot_rows(rows, p):
         assert not m[i, :col].any()
         assert not m[i + 1:, col].any()
     assert not m[len(pivots):].any()
+
+
+@given(
+    terms=st.lists(st.integers(min_value=-10**30, max_value=10**30), min_size=6, max_size=30),
+    offset=st.integers(min_value=0, max_value=5),
+    r=st.integers(min_value=1, max_value=4),
+    d=st.integers(min_value=0, max_value=3),
+    picks=st.lists(st.integers(min_value=0, max_value=25), max_size=8),
+)
+def test_system_rows_are_rows_of_the_whole_system(terms, offset, r, d, picks):
+    s = SequenceSlice(offset, tuple(terms))
+    p = recurrences._FIRST_PRIME
+    whole = recurrences._system(s, r, d, p)
+    assert whole.shape == (len(terms) - r, (r + 1) * (d + 1))
+    rows = tuple(i % whole.shape[0] for i in picks)
+    np.testing.assert_array_equal(recurrences._system(s, r, d, p, rows), whole[list(rows)])
 
 
 def test_prime_stream_is_the_primes_below_the_first_prime():
