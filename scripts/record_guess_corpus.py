@@ -6,10 +6,12 @@ interleaved-zero sequences, zero prefixes, polynomial multiples with zeros
 at their roots, periodic sequences times (n+1), and perturbed tails, over
 offsets 0-4, order caps 1-4 and degree caps 0-4.  Several of these have
 accepted candidates whose nullspace has dimension 2 or more, where the
-choice of basis vector decides the printed recurrence.  The last family
-is unlucky for the fit's first prime: mod that prime its terms have a
-larger nullspace than over the rationals, so the rows independent mod the
-first prime do not determine the rational nullspace.
+choice of basis vector decides the printed recurrence.  The last two
+families are unlucky for one prime: mod that prime their terms have a
+larger nullspace than over the rationals.  unlucky_fit_prime is unlucky
+for a prime of the fit's stream, whose pivot shape the fit must then
+distrust; unlucky_screen_prime is unlucky for the screen's prime, whose
+pivot rows then do not determine the rational nullspace.
 
 Each case stores its input (terms, offset, caps) with the recurrence JSON
 or the name of the exception the guesser raised.  The data is meant to be
@@ -28,7 +30,12 @@ import sys
 
 from multiderange.counting import classic_derangement
 from multiderange.errors import InsufficientData, RecurrenceNotFound
-from multiderange.recurrences import _prime_stream, guess_recurrence, recurrence_to_json
+from multiderange.recurrences import (
+    _FIRST_PRIME,
+    _prime_stream,
+    guess_recurrence,
+    recurrence_to_json,
+)
 from multiderange.sequences import SequenceSlice
 
 SEED = 20261018
@@ -105,16 +112,25 @@ def perturbed_tail(rng: random.Random, length: int) -> list[int]:
 
 
 def unlucky_fit_prime(rng: random.Random, length: int) -> list[int]:
-    """Terms whose reduction mod q, the first prime of every fit (sometimes
-    the second), satisfies more relations than the terms do:
-    ratio^n (1 + q n), which is ratio^n mod q; ((1 + q) n - a) 3^n, which is
-    (n - a) 3^n mod q; or a spike v at k plus a spike q w at j, which is a
-    single spike mod q.  The two spikes' accepted (1, 2) candidate has a
-    two-dimensional rational nullspace, p_0 = (n - k)(n - j) with p_1 = 0
-    and p_0 = 0 with p_1 = (n - k + 1)(n - j + 1)."""
+    """unlucky_terms for q the first prime of every fit (sometimes the
+    second)."""
     stream = _prime_stream()
     first, second = next(stream), next(stream)
-    q = rng.choice((first, first, second))
+    return unlucky_terms(rng, length, rng.choice((first, first, second)))
+
+
+def unlucky_screen_prime(rng: random.Random, length: int) -> list[int]:
+    """unlucky_terms for q the prime of the per-order screen."""
+    return unlucky_terms(rng, length, _FIRST_PRIME)
+
+
+def unlucky_terms(rng: random.Random, length: int, q: int) -> list[int]:
+    """Terms whose reduction mod q satisfies more relations than the terms
+    do: ratio^n (1 + q n), which is ratio^n mod q; ((1 + q) n - a) 3^n,
+    which is (n - a) 3^n mod q; or a spike v at k plus a spike q w at j,
+    which is a single spike mod q.  The two spikes' accepted (1, 2)
+    candidate has a two-dimensional rational nullspace, p_0 = (n - k)(n - j)
+    with p_1 = 0 and p_0 = 0 with p_1 = (n - k + 1)(n - j + 1)."""
     kind = rng.randrange(3)
     if kind == 0:
         ratio = rng.choice((2, -2, 3))
@@ -137,6 +153,7 @@ FAMILIES = {
     "periodic_times_linear": periodic_times_linear,
     "perturbed_tail": perturbed_tail,
     "unlucky_fit_prime": unlucky_fit_prime,
+    "unlucky_screen_prime": unlucky_screen_prime,
 }
 
 CASES_PER_FAMILY = 25

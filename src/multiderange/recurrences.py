@@ -12,33 +12,35 @@ Rank mod p never exceeds the rational rank, so a prime with full column
 rank proves a system has no solution.  All modular linear algebra goes
 through one kernel, forward elimination mod p (_echelon_mod_p), whose pivot
 columns are those of the reduced row echelon form.  A screen decides which
-candidates are fitted, in the degree-major column layout: column
-e*(r+1) + j holds n^e * s(n+j).  The rows of an (r, d) system depend only
-on r, so each (r, d) system is the leading (r+1)*(d+1)-column block of its
-order's system of the largest feasible degree, and the pivots of a leading
-block are the pivots of the whole system left of its boundary.  The first
-time the scan reaches order r, that largest system is reduced mod the
-screen's prime, once.  A candidate's rank there is the number of pivots
-left of its block boundary, and a candidate with full rank is rejected
-without a fit.
+candidates are fitted, and on which rows, in the degree-major column
+layout: column e*(r+1) + j holds n^e * s(n+j).  The rows of an (r, d)
+system depend only on r, so each (r, d) system is the leading
+(r+1)*(d+1)-column block of its order's system of the largest feasible
+degree, and the pivots of a leading block are the pivots of the whole
+system left of its boundary.  The first time the scan reaches order r, that
+largest system is reduced mod the screen's prime, once.  A candidate's rank
+there is the number of pivots left of its block boundary, and a candidate
+with full rank is rejected without a fit.  Forward elimination swaps rows
+only at or below the current rank, so the first rank pivot rows are fixed
+once the block's columns are processed: they are the block's own pivot
+rows, independent mod the screen's prime and so over Q.  They are the rows
+of its fit.
 
-One exact solver fits every other candidate.  It reduces the system mod a
-descending stream of other 31-bit primes, again rejecting on full column
-rank, with the columns in shift-major order: all the columns of s(n) first,
-then those of s(n+1), ...  The RREF nullspace basis of that layout has one
-vector per free column, 1 there and 0 past it and at every other free
-column, so its first order-r vector is the order-r solution with the
-least-degree leading polynomial; back-substitution over the pivot block
-gives it from the echelon form.  The fit's first prime reduces every row
-and picks its pivot rows, which are independent over Q; every later prime
-reduces only those rows, and the fit goes back to all rows if a vector
-from the subset fails the exact check (see _fit for why the output is the
-same either way).  Basis vectors are combined across primes by CRT and
-rationally reconstructed once a probe coordinate reconstructs to the same
-fraction at two consecutive moduli.  Rank and pivot columns mod p can only
-be worse than over the rationals, never better, so only primes with the
-best pivot shape seen so far are combined: more pivots first, then earlier
-pivot columns.
+One exact solver fits every other candidate.  It reduces the screen's rows
+of the system mod a descending stream of other 31-bit primes, again
+rejecting on full column rank, with the columns in shift-major order: all
+the columns of s(n) first, then those of s(n+1), ...  The RREF nullspace
+basis of that layout has one vector per free column, 1 there and 0 past it
+and at every other free column, so its first order-r vector is the order-r
+solution with the least-degree leading polynomial; back-substitution over
+the pivot block gives it from the echelon form.  The fit goes back to all
+rows if a vector from the screen's rows fails the exact check (see _fit for
+why the output is the same either way).  Basis vectors are combined across
+primes by CRT and rationally reconstructed once a probe coordinate
+reconstructs to the same fraction at two consecutive moduli.  Rank and
+pivot columns mod p can only be worse than over the rationals, never
+better, so only primes with the best pivot shape seen so far are combined:
+more pivots first, then earlier pivot columns.
 
 One exact check accepts: a reconstructed vector is returned only as a
 recurrence of the candidate's order (nonzero top coefficient block) that
@@ -135,9 +137,10 @@ def guess_recurrence(
     Raises RecurrenceNotFound when the whole grid is exhausted.
 
     The first time the scan reaches an order, that order's system of the
-    largest feasible degree is reduced mod _FIRST_PRIME, once, and only its
-    pivot columns are kept.  A candidate whose leading column block has
-    full rank there is rejected without a fit; any other is fitted.
+    largest feasible degree is reduced mod _FIRST_PRIME, once, and its
+    pivot columns and pivot rows are kept.  A candidate whose leading column
+    block has full rank there is rejected without a fit; any other is fitted
+    on the block's pivot rows, the first rank pivot rows of the order.
     """
     if max_order < 1 or max_degree < 0:
         raise ValueError("search caps must allow order >= 1, degree >= 0")
@@ -159,15 +162,18 @@ def guess_recurrence(
         )
     # The big terms are reduced mod the first prime once, for every screen.
     first = SequenceSlice(s.offset, tuple(t % _FIRST_PRIME for t in s.terms))
-    screens: dict[int, tuple[int, ...]] = {}
+    screens: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for r, d in feasible:
         if r not in screens:
             top_degree = max(d_top for r_top, d_top in feasible if r_top == r)
-            screens[r] = _reduce(first, r, top_degree, _FIRST_PRIME)[1]
+            system = _system(first, r, top_degree, _FIRST_PRIME)
+            screens[r] = _echelon_mod_p(system, _FIRST_PRIME)
+        pivots, pivot_rows = screens[r]
         n_cols = (r + 1) * (d + 1)
-        if bisect_left(screens[r], n_cols) == n_cols:
+        rank = bisect_left(pivots, n_cols)
+        if rank == n_cols:
             continue  # full column rank mod the first prime: no solution
-        rec = _fit(s, r, d)
+        rec = _fit(s, r, d, pivot_rows[:rank])
         if rec is not None:
             return rec
     raise RecurrenceNotFound(max_order, max_degree)
@@ -362,10 +368,12 @@ def _terms_needed(r: int, d: int) -> int:
     return (r + 1) * (d + 1) + r + GUESS_MARGIN
 
 
-def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
+def _fit(
+    s: SequenceSlice, r: int, d: int, rows: tuple[int, ...]
+) -> Recurrence | None:
     """The order-r recurrence of the (r, d) system, or None if it has none.
 
-    Every prime of _prime_stream reduces the terms and the system afresh,
+    Every prime of _prime_stream reduces the terms and the rows afresh,
     in vectorized int64, with the columns in shift-major order: column
     j*(d+1) + e holds n^e * s(n+j), so a solution's last nonzero coordinate
     gives its order and then the degree of its top polynomial.  Rank mod p
@@ -374,17 +382,17 @@ def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
     nullspace basis mod p (see _nullspace_mod_p) is combined across primes
     by CRT.
 
-    The first prime reduces every row and picks the rows: its pivot rows,
-    which are independent mod p and so over Q.  Every later prime reduces
-    only those rows, the system A_S, whose rank is A's rank whenever the
-    first prime was lucky.  The output cannot change: N(A) lies in N(A_S),
-    every vector accepted below passes the exact check on all of A's rows,
-    and when the first i+1 canonical vectors of N(A_S) lie in N(A) they span
-    the part of N(A_S) up to the (i+1)-th free column, so they are also the
-    first i+1 canonical vectors of N(A).  If a vector fails the exact check
-    while the rows are restricted, the first prime may have been unlucky:
-    the fit goes back to all rows for the rest of its primes and restarts
-    the combination.
+    rows are the screen's pivot rows of the (r, d) block mod _FIRST_PRIME,
+    which are independent mod that prime and so over Q.  Every prime
+    reduces only those rows, the system A_S, whose rank is A's rank whenever
+    the screen's prime was lucky.  The output cannot change: N(A) lies in
+    N(A_S), every vector accepted below passes the exact check on all of A's
+    rows, and when the first i+1 canonical vectors of N(A_S) lie in N(A)
+    they span the part of N(A_S) up to the (i+1)-th free column, so they
+    are also the first i+1 canonical vectors of N(A).  If a vector fails the
+    exact check while the rows are restricted, the screen's prime may have
+    been unlucky: the fit goes back to all rows for the rest of its primes
+    and restarts the combination.
 
     After each combined prime one probe coordinate is rationally
     reconstructed.  Only when it gives the same fraction at two consecutive
@@ -419,13 +427,11 @@ def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
     # Column j*(d+1) + e of the fit is column e*(r+1) + j of _system.
     shift_major = [e * (r + 1) + j for j in range(r + 1) for e in range(d + 1)]
     best_shape: tuple | None = None
-    rows: tuple[int, ...] | None = None  # None: every row
-    pick_rows = True
     for p in _prime_stream():
         # take, unlike [:, shift_major], returns C order: rows stay contiguous
         # for the row operations of _echelon_mod_p.
         matrix = _system(s, r, d, p, rows).take(shift_major, axis=1)
-        pivots, pivot_rows = _echelon_mod_p(matrix, p)
+        pivots = _echelon_mod_p(matrix, p)[0]
         if len(pivots) == n_cols:
             return None  # full rank mod p: certified trivial nullspace
         shape = (-len(pivots), pivots)
@@ -436,8 +442,6 @@ def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
             best_shape = shape
             combined, modulus = basis, p
             probe, settled = (0, 0), None
-            if pick_rows:
-                rows, pick_rows = pivot_rows, False
         else:
             combined = [
                 _crt_merge(old, modulus, new, p)
@@ -488,20 +492,14 @@ def _system(
     end = int(index.max()) + r + 1 if index.size else 0
     terms_mod = np.array([t % p for t in s.terms[:end]], dtype=np.int64)
     shifts = terms_mod[index[:, None] + np.arange(r + 1)]
-    n_values = (index + s.offset) % p
+    # Reduced first: index + s.offset can overflow int64.
+    n_values = (index + s.offset % p) % p
     powers = np.empty((len(index), d + 1), dtype=np.int64)
     powers[:, 0] = 1
     for e in range(1, d + 1):
         powers[:, e] = powers[:, e - 1] * n_values % p
     products = powers[:, :, None] * shifts[:, None, :] % p
     return products.reshape(len(index), (d + 1) * (r + 1))
-
-
-def _reduce(s: SequenceSlice, r: int, d: int, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The degree-major (r, d) system of s mod p in row echelon form (see
-    _echelon_mod_p), and its pivot columns."""
-    matrix = _system(s, r, d, p)
-    return matrix, _echelon_mod_p(matrix, p)[0]
 
 
 def _echelon_mod_p(m: np.ndarray, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -321,6 +321,18 @@ class TestGuessCommand:
         assert json.loads(out.splitlines()[1])["order"] == 2
 
 
+    @pytest.mark.parametrize("offset", [10**30, 2**63 - 10])
+    def test_bfile_offset_past_int64(self, capsys, tmp_path, offset):
+        terms_file = tmp_path / "rising_b.txt"
+        lines, term = [], 1
+        for n in range(offset, offset + 30):
+            lines.append(f"{n} {term}\n")
+            term *= n + 1
+        terms_file.write_text("".join(lines))
+        code, out, _ = run_cli(capsys, "guess", "--terms-file", str(terms_file))
+        assert code == 0
+        assert out.splitlines()[0] == "s(n+1) - (n + 1)*s(n) = 0"
+
 class TestOeisCheck:
     def test_derangements_match(self, capsys):
         code, out, _ = run_cli(

@@ -48,6 +48,38 @@ DERANGEMENT_REC = Recurrence(((-1, -1), (-1, -1), (1,)))
 FACTORIAL_REC = Recurrence(((-1, -1), (1,)))
 
 
+@pytest.fixture
+def guess_trace(monkeypatch):
+    """Records the guesser's reductions: "screens" holds (prime, row count,
+    pivots, pivot rows) for each reduction outside a fit, and "fits" holds
+    each _fit call as a dict with its candidate, the rows the screen gave
+    it, and (prime, row count, rank) for each of its reductions."""
+    screens, fits, current = [], [], []
+    echelon, fit = recurrences._echelon_mod_p, recurrences._fit
+
+    def tracing_echelon(m, p):
+        pivots, pivot_rows = echelon(m, p)
+        if current:
+            current[-1]["reductions"].append((p, m.shape[0], len(pivots)))
+            # A fit stuck on the wrong rows would run the stream forever.
+            assert len(current[-1]["reductions"]) < 100
+        else:
+            screens.append((p, m.shape[0], pivots, pivot_rows))
+        return pivots, pivot_rows
+
+    def tracing_fit(s, r, d, rows):
+        fits.append({"candidate": (r, d), "rows": rows, "reductions": []})
+        current.append(fits[-1])
+        try:
+            return fit(s, r, d, rows)
+        finally:
+            current.pop()
+
+    monkeypatch.setattr(recurrences, "_echelon_mod_p", tracing_echelon)
+    monkeypatch.setattr(recurrences, "_fit", tracing_fit)
+    return {"screens": screens, "fits": fits}
+
+
 class TestGuess:
     def test_constant_sequence(self):
         rec = guess_recurrence(SequenceSlice(0, (1,) * 20), 3, 3)
@@ -55,7 +87,7 @@ class TestGuess:
         assert format_recurrence(rec) == "s(n+1) - s(n) = 0"
 
     def test_zero_sequence(self):
-        # The first fit prime picks no pivot rows: later primes build 0 rows.
+        # The screen finds no pivot rows: every fit prime builds 0 rows.
         rec = guess_recurrence(SequenceSlice(0, (0,) * 20), 3, 3)
         assert rec.coeff_polys == ((), (1,))
 
@@ -81,6 +113,16 @@ class TestGuess:
         rec = guess_recurrence(SequenceSlice(5, (1,) * 20), 2, 2)
         assert rec.coeff_polys == ((-1,), (1,))
 
+    @pytest.mark.parametrize("offset", [10**30, 2**63 - 10])
+    def test_offset_past_int64(self, offset):
+        # s(n+1) = (n+1) s(n) from s(offset) = 1: the indices n, or n plus a
+        # shift, do not fit in int64, so the system reduces them mod p first.
+        terms = [1]
+        for n in range(offset, offset + 29):
+            terms.append(terms[-1] * (n + 1))
+        rec = guess_recurrence(SequenceSlice(offset, tuple(terms)), 12, 12)
+        assert rec == FACTORIAL_REC
+
     def test_insufficient_data(self):
         with pytest.raises(InsufficientData) as info:
             guess_recurrence(SequenceSlice(0, (1, 2, 3)), 5, 5)
@@ -96,45 +138,50 @@ class TestGuess:
         with pytest.raises(ValueError):
             guess_recurrence(SequenceSlice(0, (1,) * 20), 0, 3)
 
-    def test_unlucky_first_prime_with_worse_pivot_shape(self):
-        # Mod 2^31 - 1 (the first prime tried) the terms reduce to 2^n, whose
-        # (1, 1) system has a larger nullspace than the rational one.
+    def test_unlucky_first_prime_with_worse_pivot_shape(self, guess_trace):
+        # Mod 2^31 - 1 (the screen's prime) the terms reduce to 2^n, whose
+        # (1, 1) system has rank 2 where the rational one has rank 3.  The
+        # screen gives the fit 2 rows, whose nullspace holds a vector that
+        # fails on the other rows, so the fit goes back to all 29 rows.
         m = (1 << 31) - 1
         terms = tuple(2**n * (1 + m * n) for n in range(30))
         rec = guess_recurrence(SequenceSlice(0, terms), 2, 2)
         assert json.loads(recurrence_to_json(rec))["coeff_polys"] == [
             ["-4294967296", "-4294967294"], ["1", "2147483647"]
         ]
+        last = guess_trace["fits"][-1]
+        assert last["candidate"] == (1, 1)
+        assert len(last["rows"]) == 2
+        row_counts = [n_rows for _, n_rows, _ in last["reductions"]]
+        assert row_counts[0] == 2 and row_counts[-1] == 29
+        assert row_counts == sorted(row_counts) and set(row_counts) == {2, 29}
 
     @pytest.mark.parametrize("index", [0, 1])
-    def test_unlucky_fit_prime_with_worse_pivot_shape(self, index, monkeypatch):
+    def test_unlucky_fit_prime_with_worse_pivot_shape(self, index, guess_trace, monkeypatch):
         # Mod q the terms reduce to 2^n, whose (1, 1) system has rank 2
-        # where the rational one has rank 3.  As the fit's first prime, q
-        # picks 2 rows, whose nullspace holds a vector that fails on the
-        # other rows, so the fit goes back to all 29 rows; as its second
-        # prime, q is skipped on the 3 rows the first prime picked.
-        fit_rows = []
-        echelon = recurrences._echelon_mod_p
+        # where the rational one has rank 3.  The screen's prime is lucky
+        # and gives the fit 3 rows, which it keeps; q, as the fit's first
+        # prime or its second, never enters the combination.
+        merged_moduli = []
+        crt_merge = recurrences._crt_merge
 
-        def counting_echelon(m, p):
-            if p != recurrences._FIRST_PRIME:
-                fit_rows.append(m.shape[0])
-                # A fit stuck on the wrong rows would run the stream forever.
-                assert len(fit_rows) < 100
-            return echelon(m, p)
+        def recording_merge(combined, modulus, vector, p):
+            merged_moduli.append(modulus * p)
+            return crt_merge(combined, modulus, vector, p)
 
-        monkeypatch.setattr(recurrences, "_echelon_mod_p", counting_echelon)
+        monkeypatch.setattr(recurrences, "_crt_merge", recording_merge)
         stream = recurrences._prime_stream()
         q = [next(stream) for _ in range(2)][index]
         terms = tuple(2**n * (1 + q * n) for n in range(30))
         rec = guess_recurrence(SequenceSlice(0, terms), 2, 2)
         assert rec.coeff_polys == ((-2 - 2 * q, -2 * q), (1, q))
-        assert fit_rows[0] == 29
-        if index == 0:
-            assert fit_rows[1] == 2
-            assert fit_rows[-1] == 29
-        else:
-            assert set(fit_rows[1:]) == {3}
+        [fit] = guess_trace["fits"]
+        assert fit["candidate"] == (1, 1)
+        assert len(fit["rows"]) == 3
+        assert {n_rows for _, n_rows, _ in fit["reductions"]} == {3}
+        assert [rank for p, _, rank in fit["reductions"] if p == q] == [2]
+        assert {rank for p, _, rank in fit["reductions"] if p != q} == {3}
+        assert merged_moduli and all(modulus % q for modulus in merged_moduli)
 
     def test_rank_deficient_mod_first_prime_but_full_rank_over_q(self):
         m = (1 << 31) - 1
@@ -229,50 +276,36 @@ class TestPinnedGuesses:
         else:
             assert recurrence_to_json(rec) == FAMILY_GUESSES[key]
 
-    def test_one_screen_per_order_and_one_fit(self, family_prefixes, monkeypatch):
+    def test_one_screen_per_order_and_one_fit(self, family_prefixes, guess_trace):
         # fixed k = 4 at seed 110 is accepted at order 6, degree 7
-        reductions, fitted, inside_fit = [], [], []
-        echelon, fit = recurrences._echelon_mod_p, recurrences._fit
-
-        def counting_echelon(m, p):
-            pivots, pivot_rows = echelon(m, p)
-            reductions.append((p, bool(inside_fit), m.shape[0], len(pivots)))
-            return pivots, pivot_rows
-
-        def counting_fit(s, r, d):
-            fitted.append((r, d))
-            inside_fit.append(True)
-            try:
-                return fit(s, r, d)
-            finally:
-                inside_fit.pop()
-
-        monkeypatch.setattr(recurrences, "_echelon_mod_p", counting_echelon)
-        monkeypatch.setattr(recurrences, "_fit", counting_fit)
         terms = family_prefixes["fixed_k/4"][:110 - GUESS_MARGIN]
         rec = guess_recurrence(
             SequenceSlice(0, tuple(terms)), DEFAULT_MAX_ORDER, DEFAULT_MAX_DEGREE
         )
-        first = recurrences._FIRST_PRIME
-        primes = [(p, inside) for p, inside, _, _ in reductions]
-        assert primes.count((first, False)) == DEFAULT_MAX_ORDER
-        assert (first, True) not in primes
         assert rec.order == 6
-        assert fitted == [(6, 7)]
-        # The fit's first prime picks its pivot rows; every later prime
-        # reduces exactly those rows.
-        fit_primes = [(n_rows, rank) for _, inside, n_rows, rank in reductions if inside]
-        picking_rank = fit_primes[0][1]
-        assert fit_primes[0][0] > picking_rank
-        assert len(fit_primes) > 1
-        assert all(n_rows == picking_rank for n_rows, _ in fit_primes[1:])
+        [fit] = guess_trace["fits"]
+        assert fit["candidate"] == (6, 7)
+        first = recurrences._FIRST_PRIME
+        screens = guess_trace["screens"]
+        assert [p for p, _, _, _ in screens] == [first] * DEFAULT_MAX_ORDER
+        # The order-6 screen's pivot rows, cut at the (6, 7) block's rank,
+        # are the fit's rows, and every fit prime reduces exactly those rows.
+        [(_, _, pivots, pivot_rows)] = [s for s in screens if s[1] == len(terms) - 6]
+        rank = sum(c < 7 * 8 for c in pivots)
+        assert 0 < rank < len(terms) - 6
+        assert fit["rows"] == pivot_rows[:rank]
+        assert len(fit["reductions"]) > 1
+        assert first not in {p for p, _, _ in fit["reductions"]}
+        assert {n_rows for _, n_rows, _ in fit["reductions"]} == {rank}
 
 
 # Guesser output on a seeded corpus beyond the families (zero-heavy,
 # interleaved zeros, zero prefixes, polynomial multiples, periodic sequences
 # times n+1, perturbed tails), written by scripts/record_guess_corpus.py
-# before the one-layout guesser went in.  Some accepted candidates there
-# have a nullspace of dimension 2, where the basis order picks the output.
+# before the one-layout guesser went in; the terms unlucky for a fit prime
+# and for the screen's prime were each recorded before the change they
+# test.  Some accepted candidates there have a nullspace of dimension 2,
+# where the basis order picks the output.
 GUESS_CORPUS = json.loads(
     (Path(__file__).parent / "data" / "guess_corpus.json").read_text()
 )
@@ -299,10 +332,11 @@ class TestGuessCorpus:
 
 
 class TestOrderScreen:
-    """The screen decides every candidate of an order from one reduction:
-    the row echelon form of the (r, d) system is the leading column block
-    of that of the (r, 3) system, mod the screen's prime and mod a later
-    one."""
+    """The screen decides every candidate of an order from one reduction,
+    and picks its fit's rows there: the row echelon form of the (r, d)
+    system is the leading column block of that of the (r, 3) system, and
+    its pivot rows are the leading pivot rows of that system, mod the
+    screen's prime and mod a later one."""
 
     @given(
         terms=st.one_of(
@@ -320,12 +354,15 @@ class TestOrderScreen:
         s = SequenceSlice(offset, tuple(terms))
         for p in (recurrences._FIRST_PRIME, next(recurrences._prime_stream())):
             for r in range(1, 5):
-                top, top_pivots = recurrences._reduce(s, r, 3, p)
+                top = recurrences._system(s, r, 3, p)
+                top_pivots, top_rows = recurrences._echelon_mod_p(top, p)
                 for d in range(4):
                     boundary = (r + 1) * (d + 1)
-                    block, pivots = recurrences._reduce(s, r, d, p)
+                    block = recurrences._system(s, r, d, p)
+                    pivots, rows = recurrences._echelon_mod_p(block, p)
                     rank = len(pivots)
                     assert top_pivots[:rank] == pivots
+                    assert top_rows[:rank] == rows
                     assert all(c >= boundary for c in top_pivots[rank:])
                     np.testing.assert_array_equal(top[:rank, :boundary], block[:rank])
                     assert not block[rank:].any()
