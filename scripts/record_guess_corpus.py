@@ -9,9 +9,11 @@ accepted candidates whose nullspace has dimension 2 or more, where the
 choice of basis vector decides the printed recurrence.  The last two
 families are unlucky for one prime: mod that prime their terms have a
 larger nullspace than over the rationals.  unlucky_fit_prime is unlucky
-for a prime of the fit's stream, whose pivot shape the fit must then
-distrust; unlucky_screen_prime is unlucky for the screen's prime, whose
-pivot rows then do not determine the rational nullspace.
+for the first or second prime of the fit's stream, whose lifted vectors
+the fit must then reject; unlucky_screen_prime is unlucky for the
+screen's prime, which then lets through candidates that the fit decides
+at its own primes.  The fit reduces every row of a candidate itself:
+only the screen's pass or reject reaches it.
 
 Each case stores its input (terms, offset, caps) with the recurrence JSON
 or the name of the exception the guesser raised.  The data is meant to be

@@ -8,6 +8,9 @@ Only a value past the cap is split in halves until every piece is under
 it, and the pieces are joined with subquadratic multiplies (Brent &
 Zimmermann, Modern Computer Arithmetic, section 1.7; CPython 3.12's
 _pylong does the same).  The interpreter's cap is read, never changed.
+from_decimal reads one grammar at every length, an optional sign and
+ASCII digits: int() alone also takes underscores, surrounding whitespace
+and non-ASCII digits, but only below the cap.
 
 to_decimal also takes an integral Decimal (exponent 0), as `table` holds
 its extended terms: str() of a Decimal is linear in the digit count and has
@@ -67,15 +70,14 @@ def to_decimal(n: int | Decimal) -> str:
 
 
 def from_decimal(text: str) -> int:
-    """int() of decimal text; past the digit cap, only [sign]digits."""
-    try:
+    """The int of decimal text: an optional sign and ASCII digits, nothing
+    else, at every length."""
+    digits = text[1:] if text.startswith(("+", "-")) else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r:.200}")
+    limit = sys.get_int_max_str_digits()
+    if not limit or len(digits) <= limit:
         return int(text)
-    except ValueError:
-        limit = sys.get_int_max_str_digits()
-        body = text.strip()
-        digits = body[1:] if body.startswith(("+", "-")) else body
-        if not (limit and len(digits) > limit and digits.isascii() and digits.isdigit()):
-            raise
     powers: dict[int, int] = {}
 
     def join(start: int, stop: int) -> int:
@@ -89,4 +91,4 @@ def from_decimal(text: str) -> int:
         return join(start, stop - half) * powers[half] + join(stop - half, stop)
 
     value = join(0, len(digits))
-    return -value if body.startswith("-") else value
+    return -value if text.startswith("-") else value

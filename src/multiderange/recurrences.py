@@ -9,47 +9,45 @@ when its homogeneous system over all usable shifts is overdetermined by a
 fixed margin and has a solution of the candidate's order.
 
 Rank mod p never exceeds the rational rank, so a prime with full column
-rank proves a system has no solution.  All modular linear algebra goes
+rank proves a system has no solution.  All modular elimination goes
 through one kernel, forward elimination mod p (_echelon_mod_p), whose pivot
 columns are those of the reduced row echelon form.  A screen decides which
-candidates are fitted, and on which rows, in the degree-major column
-layout: column e*(r+1) + j holds n^e * s(n+j).  The rows of an (r, d)
-system depend only on r, so each (r, d) system is the leading
-(r+1)*(d+1)-column block of its order's system of the largest feasible
-degree, and the pivots of a leading block are the pivots of the whole
-system left of its boundary.  The first time the scan reaches order r, that
-largest system is reduced mod the screen's prime, once.  A candidate's rank
-there is the number of pivots left of its block boundary, and a candidate
-with full rank is rejected without a fit.  Forward elimination swaps rows
-only at or below the current rank, so the first rank pivot rows are fixed
-once the block's columns are processed: they are the block's own pivot
-rows, independent mod the screen's prime and so over Q.  They are the rows
-of its fit.
+candidates are fitted, in the degree-major column layout: column
+e*(r+1) + j holds n^e * s(n+j).  The rows of an (r, d) system depend only
+on r, so each (r, d) system is the leading (r+1)*(d+1)-column block of its
+order's system of the largest feasible degree, and the pivots of a leading
+block are the pivots of the whole system left of its boundary.  The first
+time the scan reaches order r, that largest system is reduced mod the
+screen's prime, once.  A candidate's rank there is the number of pivots
+left of its block boundary, and a candidate with full rank is rejected
+without a fit.
 
-One exact solver fits every other candidate.  It reduces the screen's rows
-of the system mod a descending stream of other 31-bit primes, again
-rejecting on full column rank, with the columns in shift-major order: all
-the columns of s(n) first, then those of s(n+1), ...  The RREF nullspace
-basis of that layout has one vector per free column, 1 there and 0 past it
-and at every other free column, so its first order-r vector is the order-r
-solution with the least-degree leading polynomial; back-substitution over
-the pivot block gives it from the echelon form.  The fit goes back to all
-rows if a vector from the screen's rows fails the exact check (see _fit for
-why the output is the same either way).  Basis vectors are combined across
-primes by CRT and rationally reconstructed once a probe coordinate
-reconstructs to the same fraction at two consecutive moduli.  Rank and
-pivot columns mod p can only be worse than over the rationals, never
-better, so only primes with the best pivot shape seen so far are combined:
-more pivots first, then earlier pivot columns.
+One exact solver fits every other candidate.  It reduces the candidate's
+system over every row mod one prime of a descending stream of other 31-bit
+primes, once, with the columns in shift-major order: all the columns of
+s(n) first, then those of s(n+1), ...  Full column rank rejects again.
+Otherwise the rational nullspace has one canonical basis vector per free
+column of its reduced row echelon form, 1 there and 0 past it and at every
+other free column, and the first of them with a nonzero top (order-r)
+block is the order-r solution with the least-degree leading polynomial:
+that is the vector returned.  The fit lifts the vectors of the prime's free
+columns, up to its first free column of the top block, p-adically (Dixon)
+with one inverse of the pivot block mod p, and rationally reconstructs
+them once a probe coordinate reconstructs to the same fraction at two
+consecutive powers of p.  The prime is accepted only if every vector is
+zero past its own column and passes the exact check below; then the
+vectors are the canonical ones (see _fit).  Any other outcome moves on to
+the next prime.
 
 One exact check accepts: a reconstructed vector is returned only as a
-recurrence of the candidate's order (nonzero top coefficient block) that
-verify_recurrence passes on every available term.  A vector with a zero top
-block is a relation of lower order, and every lower order of the same
-degree had its own candidate earlier in the scan and was rejected there, so
-such a vector cannot hold on all the terms.  Once every basis vector
-reconstructs exactly and has a zero top block, the candidate is rejected.
-A returned recurrence can therefore only fail beyond the data it was
+recurrence of the candidate's order (nonzero top coefficient block) whose
+residual is zero at every row of the system, which for that order is
+every shift of the available terms, the check of verify_recurrence.  A
+vector with a zero top block is a relation of lower order, and every lower
+order of the same degree had its own candidate earlier in the scan and was
+rejected there, so such a vector cannot hold on all the terms.  When an
+accepted prime has no free column in the top block, the candidate is
+rejected.  A returned recurrence can therefore only fail beyond the data it was
 fitted on, never on it.
 No floating point is involved anywhere.
 
@@ -59,7 +57,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from decimal import localcontext
 from math import gcd, isqrt, lcm
@@ -132,48 +130,43 @@ def guess_recurrence(
 
     Candidates are scanned by increasing order+degree, then increasing
     order, so low-order fits win.  Each candidate needs
-    (order+1)*(degree+1) + order + GUESS_MARGIN terms; if no candidate has
-    that much data, InsufficientData reports the smallest workable count.
-    Raises RecurrenceNotFound when the whole grid is exhausted.
+    (order+1)*(degree+1) + order + GUESS_MARGIN terms, so no order or
+    degree past the term count can be fitted and the scan never builds
+    them; if no candidate has that much data, InsufficientData reports the
+    count order 1, degree 0 needs.  Raises RecurrenceNotFound, naming the
+    caps, when the whole grid is exhausted.
 
     The first time the scan reaches an order, that order's system of the
     largest feasible degree is reduced mod _FIRST_PRIME, once, and its
-    pivot columns and pivot rows are kept.  A candidate whose leading column
-    block has full rank there is rejected without a fit; any other is fitted
-    on the block's pivot rows, the first rank pivot rows of the order.
+    pivot columns are kept.  A candidate whose leading column block has
+    full rank there is rejected without a fit.
     """
     if max_order < 1 or max_degree < 0:
         raise ValueError("search caps must allow order >= 1, degree >= 0")
     length = len(s.terms)
-    candidates = sorted(
+    feasible = sorted(
         (
             (r, d)
-            for r in range(1, max_order + 1)
-            for d in range(max_degree + 1)
+            for r in range(1, min(max_order, length) + 1)
+            for d in range(min(max_degree, length) + 1)
+            if length >= _terms_needed(r, d)
         ),
         key=lambda rd: (rd[0] + rd[1], rd[0]),
     )
-    feasible = [
-        (r, d) for r, d in candidates if length >= _terms_needed(r, d)
-    ]
     if not feasible:
-        raise InsufficientData(
-            min(_terms_needed(r, d) for r, d in candidates), length
-        )
+        raise InsufficientData(_terms_needed(1, 0), length)
     # The big terms are reduced mod the first prime once, for every screen.
     first = SequenceSlice(s.offset, tuple(t % _FIRST_PRIME for t in s.terms))
-    screens: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+    screens: dict[int, tuple[int, ...]] = {}
     for r, d in feasible:
         if r not in screens:
             top_degree = max(d_top for r_top, d_top in feasible if r_top == r)
             system = _system(first, r, top_degree, _FIRST_PRIME)
-            screens[r] = _echelon_mod_p(system, _FIRST_PRIME)
-        pivots, pivot_rows = screens[r]
+            screens[r] = _echelon_mod_p(system, _FIRST_PRIME)[0]
         n_cols = (r + 1) * (d + 1)
-        rank = bisect_left(pivots, n_cols)
-        if rank == n_cols:
+        if bisect_left(screens[r], n_cols) == n_cols:
             continue  # full column rank mod the first prime: no solution
-        rec = _fit(s, r, d, pivot_rows[:rank])
+        rec = _fit(s, r, d)
         if rec is not None:
             return rec
     raise RecurrenceNotFound(max_order, max_degree)
@@ -184,16 +177,9 @@ def verify_recurrence(rec: Recurrence, s: SequenceSlice) -> VerificationReport:
     r = rec.order
     if len(s.terms) < r + 1:
         raise ValueError(f"need at least {r + 1} terms to check an order-{r} recurrence")
-    failures = []
-    checked = 0
-    for n in range(s.offset, s.end - r):
-        residual = sum(
-            rec.coefficient(j, n) * s.terms[n - s.offset + j] for j in range(r + 1)
-        )
-        checked += 1
-        if residual:
-            failures.append(n)
-    return VerificationReport(checked, tuple(failures))
+    shifts = range(s.offset, s.end - r)
+    failures = tuple(n for n in shifts if _residual(rec, s, n))
+    return VerificationReport(len(shifts), failures)
 
 
 def extend_sequence(rec: Recurrence, init: SequenceSlice, upto: int) -> SequenceSlice:
@@ -368,129 +354,152 @@ def _terms_needed(r: int, d: int) -> int:
     return (r + 1) * (d + 1) + r + GUESS_MARGIN
 
 
-def _fit(
-    s: SequenceSlice, r: int, d: int, rows: tuple[int, ...]
-) -> Recurrence | None:
-    """The order-r recurrence of the (r, d) system, or None if it has none.
+def _residual(rec: Recurrence, s: SequenceSlice, n: int) -> int:
+    """sum over j of p_j(n) * s(n+j): row n of s's system times rec's
+    coefficient vector."""
+    return sum(
+        rec.coefficient(j, n) * s.terms[n - s.offset + j] for j in range(rec.order + 1)
+    )
 
-    Every prime of _prime_stream reduces the terms and the rows afresh,
-    in vectorized int64, with the columns in shift-major order: column
+
+def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
+    """The order-r recurrence of the (r, d) system A, or None if it has none.
+
+    Each prime p of _prime_stream reduces A over every row, once, in
+    vectorized int64, with the columns in shift-major order: column
     j*(d+1) + e holds n^e * s(n+j), so a solution's last nonzero coordinate
     gives its order and then the degree of its top polynomial.  Rank mod p
     never exceeds the rational rank, so full column rank mod p certifies
-    that only the zero vector solves the system.  Otherwise the RREF
-    nullspace basis mod p (see _nullspace_mod_p) is combined across primes
-    by CRT.
+    that only the zero vector solves the system.
 
-    rows are the screen's pivot rows of the (r, d) block mod _FIRST_PRIME,
-    which are independent mod that prime and so over Q.  Every prime
-    reduces only those rows, the system A_S, whose rank is A's rank whenever
-    the screen's prime was lucky.  The output cannot change: N(A) lies in
-    N(A_S), every vector accepted below passes the exact check on all of A's
-    rows, and when the first i+1 canonical vectors of N(A_S) lie in N(A)
-    they span the part of N(A_S) up to the (i+1)-th free column, so they
-    are also the first i+1 canonical vectors of N(A).  If a vector fails the
-    exact check while the rows are restricted, the screen's prime may have
-    been unlucky: the fit goes back to all rows for the rest of its primes
-    and restarts the combination.
+    Otherwise the free columns mod p are taken in order up to and including
+    the first one in the top (order-r) block, or all of them if that block
+    has none, and _lift solves for their vectors p-adically.  After each
+    lift step one probe coordinate is rationally reconstructed.  Only when
+    it gives the same fraction at two consecutive moduli are the vectors
+    reconstructed, in order, up to the first that fails; a coordinate with
+    no reconstruction becomes the new probe and the lift goes on.  The rule
+    only decides when to attempt.
 
-    After each combined prime one probe coordinate is rationally
-    reconstructed.  Only when it gives the same fraction at two consecutive
-    moduli is the whole basis reconstructed, vector by vector in basis
-    order, up to the first vector that fails.  A coordinate with no
-    reconstruction becomes the new probe, so an attempt waits for the
-    coordinate that stopped the last one.  The rule only decides when to
-    attempt: acceptance is unchanged, and once enough primes are combined
-    the probe stays stable and attempts come at every prime.
+    p is accepted only if every reconstructed vector v_c is zero at every
+    pivot past its column c, and so zero past c, and its residual is zero
+    at every row of A (the exact check).  Then the v_c are the canonical
+    rational basis vectors of their columns.  A v in N(A) whose last
+    nonzero coordinate is c makes column c a combination of earlier
+    columns, so c is free over Q.  Rank mod p never exceeds the rational
+    rank on any leading column block, so up to the last lifted column
+    there are no more rational free columns than free columns mod p; the
+    lifted columns are all rational free columns, so the two sets agree
+    there.  v_c is then 1 at c, 0 at every other rational free column up
+    to c and 0 past c, which determines it.  If the last lifted column lies
+    in the top block, its vector is the first canonical vector of order r,
+    the one returned.  If the top block holds no free column mod p, every
+    free column mod p is free over Q, and the rational nullity is at most
+    the nullity mod p, so the top block holds no rational free column
+    either and None is returned.
 
-    A reconstructed vector whose top coefficient block is nonzero and which
-    passes verify_recurrence on every term of s is returned.  A vector with
-    a zero top block is a lower-order relation, which the (r' < r, d)
-    candidates scanned before this one already rejected; it is checked only
-    on the order-r rows, the shifts the system sees.  When every basis
-    vector reconstructs and passes there, the vectors span the exact
-    nullspace and all have zero top blocks, so no order-r recurrence exists
-    and None is returned.  Anything else means too few primes, and more are
-    combined.  Since an attempt never passes over a failed vector, the
-    vector returned is the first order-r vector of the rational basis, the
-    order-r solution with the least-degree leading polynomial, however many
-    primes it took.
-
-    Pivots mod p never come earlier than the rational ones, so the pivot
-    shape to trust is the best seen so far: more pivots first, then the
-    lexicographically smaller pivot columns.  A prime with a worse shape is
-    skipped, and one with a better shape restarts the combination.  Only
-    finitely many primes are unlucky, and the rows go back to all of A at
-    most once, so the loop ends.
+    The zero check is needed: the free columns mod p need not contain the
+    rational ones.  A rational pivot column can become free mod p, and its
+    lifted vector can be a true null vector that is nonzero past its
+    column.  Any other outcome, a nonzero past the column or a failed
+    exact check (from an unlucky prime, or an attempt made too early),
+    moves on to the next prime.  Only finitely many primes are unlucky.
     """
     n_cols = (r + 1) * (d + 1)
     # Column j*(d+1) + e of the fit is column e*(r+1) + j of _system.
     shift_major = [e * (r + 1) + j for j in range(r + 1) for e in range(d + 1)]
-    best_shape: tuple | None = None
     for p in _prime_stream():
-        # take, unlike [:, shift_major], returns C order: rows stay contiguous
-        # for the row operations of _echelon_mod_p.
-        matrix = _system(s, r, d, p, rows).take(shift_major, axis=1)
-        pivots = _echelon_mod_p(matrix, p)[0]
+        system = _system(s, r, d, p)[:, shift_major]
+        pivots, pivot_rows = _echelon_mod_p(system.copy(), p)
         if len(pivots) == n_cols:
             return None  # full rank mod p: certified trivial nullspace
-        shape = (-len(pivots), pivots)
-        if best_shape is not None and shape > best_shape:
-            continue  # p is unlucky
-        basis = _nullspace_mod_p(matrix, pivots, p)
-        if shape != best_shape:
-            best_shape = shape
-            combined, modulus = basis, p
-            probe, settled = (0, 0), None
-        else:
-            combined = [
-                _crt_merge(old, modulus, new, p)
-                for old, new in zip(combined, basis)
-            ]
-            modulus *= p
-        value = _rational_reconstruct(combined[probe[0]][probe[1]], modulus)
-        stable = value is not None and value == settled
-        settled = value
-        if not stable:
-            continue
-        for i, vector in enumerate(combined):
-            pairs = _reconstruct_vector(vector, modulus)
-            if len(pairs) < n_cols:
-                probe, settled = (i, len(pairs)), None
-                break
-            rec = _vector_to_recurrence(pairs, r, d)
-            # The order-r rows: the shifts at which every (r, d) vector is checked.
-            shifts = SequenceSlice(s.offset, s.terms[:len(s.terms) - r + rec.order])
-            if not verify_recurrence(rec, shifts).ok:
-                if rows is not None:
-                    rows, best_shape = None, None  # back to every row
-                break
-            if rec.order == r:
-                return rec
-        else:
-            return None  # exact solutions exist, but none has order r
+        free = [c for c in range(n_cols) if c not in pivots]
+        last = next((i for i, c in enumerate(free) if c >= r * (d + 1)), len(free) - 1)
+        free = free[:last + 1]
+        probe, settled = (0, 0), None
+        for vectors, modulus in _lift(s, d, p, system, pivots, pivot_rows, free):
+            value = _rational_reconstruct(vectors[probe[0]][probe[1]], modulus)
+            stable = value is not None and value == settled
+            settled = value
+            if not stable:
+                continue
+            for i, (c, vector) in enumerate(zip(free, vectors)):
+                pairs = _reconstruct_vector(vector, modulus)
+                if len(pairs) < n_cols:
+                    probe, settled = (i, len(pairs)), None  # lift further
+                    break
+                rec = _vector_to_recurrence(pairs, d)
+                if any(num for num, _ in pairs[c + 1:]) or any(
+                    _residual(rec, s, n) for n in range(s.offset, s.end - r)
+                ):
+                    break  # p is rejected: nonzero past c, or not exact
+                if rec.order == r:
+                    return rec
+            else:
+                return None  # exact solutions exist, but none has order r
+            if settled is not None:
+                break  # p was rejected, not just lifted too little: next prime
     raise RuntimeError("prime stream exhausted")
 
 
-def _system(
-    s: SequenceSlice, r: int, d: int, p: int, rows: tuple[int, ...] | None = None
-) -> np.ndarray:
-    """The (r, d) system of s mod p, one row per shift n, with degree-major
-    columns: column e*(r+1) + j holds n^e * s(n+j).
+def _lift(
+    s: SequenceSlice, d: int, p: int, system: np.ndarray,
+    pivots: tuple[int, ...], pivot_rows: tuple[int, ...], free: list[int],
+) -> Iterator[tuple[list[list[int]], int]]:
+    """Dixon's p-adic lifting (J. D. Dixon, "Exact solution of linear
+    equations using p-adic expansions", Numer. Math. 40, 1982): yields,
+    after each step k = 1, 2, ..., the vectors of the free columns mod p^k
+    and p^k.
 
-    rows picks the shifts to build, by index from s.offset and in that
-    order; None builds every row.  Terms past the last picked row's top
-    shift are not reduced.  Entries stay below p < 2^31, so every product
-    formed during modular elimination fits in int64 with room to spare.
+    system is the shift-major system A mod p, and pivots and pivot_rows
+    are its pivot columns and pivot rows R.  The pivot block B, R's
+    entries in the pivot columns, is invertible mod p, and -B^-1 mod p is
+    read from the nullspace of [B | I].  The vector of free column c is 1
+    at c, 0 at every other free column, and solves the rows R over Q:
+    B z = -A_R e_c.  Each step takes the next base-p digit of z from the
+    exact residual, which is then updated and divided by p exactly.  Row n
+    of A times a vector is sum over j of z_j(n) * s(n+j), with z_j the
+    vector's shift-j polynomial, so a step costs r+1 big-by-small products
+    per row.
     """
     import numpy as np
 
-    if rows is None:
-        index = np.arange(len(s.terms) - r)
-    else:
-        index = np.array(rows, dtype=np.intp)
-    end = int(index.max()) + r + 1 if index.size else 0
-    terms_mod = np.array([t % p for t in s.terms[:end]], dtype=np.int64)
+    rank, n_cols = len(pivots), system.shape[1]
+    block = np.hstack([system[np.ix_(pivot_rows, pivots)], np.eye(rank, dtype=np.int64)])
+    _echelon_mod_p(block, p)
+    basis = _nullspace_mod_p(block, tuple(range(rank)), p)
+    inverse = np.array(basis, dtype=np.int64).reshape(rank, 2 * rank)[:, :rank].T
+    shifts = [s.offset + i for i in pivot_rows]
+    vectors = [[int(col == c) for col in range(n_cols)] for c in free]
+    residuals = [[_residual(_as_recurrence(v, d), s, n) for n in shifts] for v in vectors]
+    modulus = 1
+    while True:
+        for vector, residual in zip(vectors, residuals):
+            residue = np.array([x % p for x in residual], dtype=np.int64)
+            # inverse @ residue by 16-bit halves of the residue: with fewer
+            # than 2^15 pivots no int64 sum overflows.
+            digits = (inverse @ (residue >> 16) % p * 65536 + inverse @ (residue & 65535)) % p
+            step = [0] * n_cols
+            for col, digit in zip(pivots, digits.tolist()):
+                step[col] = digit
+                vector[col] += digit * modulus
+            rec = _as_recurrence(step, d)
+            residual[:] = [(x + _residual(rec, s, n)) // p for x, n in zip(residual, shifts)]
+        modulus *= p
+        yield vectors, modulus
+
+
+def _system(s: SequenceSlice, r: int, d: int, p: int) -> np.ndarray:
+    """The (r, d) system of s mod p, one row per shift n, with degree-major
+    columns: column e*(r+1) + j holds n^e * s(n+j).
+
+    Entries stay below p < 2^31, so every product formed during modular
+    elimination fits in int64 with room to spare.
+    """
+    import numpy as np
+
+    index = np.arange(len(s.terms) - r)
+    terms_mod = np.array([t % p for t in s.terms], dtype=np.int64)
     shifts = terms_mod[index[:, None] + np.arange(r + 1)]
     # Reduced first: index + s.offset can overflow int64.
     n_values = (index + s.offset % p) % p
@@ -550,11 +559,10 @@ def _nullspace_mod_p(m: np.ndarray, pivot_cols: tuple[int, ...], p: int) -> list
     Only those free-column entries are reduced, by back-substitution over
     the unit upper-triangular pivot block: rank^2 * nullity operations
     rather than a full Gauss-Jordan pass.  A reduced row is zero left of
-    its pivot, so each vector is also 0 past f.  Over a fit's shift-major
-    columns the first order-r vector is therefore the order-r solution
-    whose leading polynomial has the least degree, and the basis is the
-    reduction mod p of the unique rational basis of this form whenever p
-    preserves the pivot columns.
+    its pivot, so each vector is also 0 past f.  For [B | I] with B
+    invertible mod p, the pivots are B's columns and the vector of free
+    column rank+k holds column k of -B^-1 mod p, which is how _lift
+    inverts its pivot block.
     """
     import numpy as np
 
@@ -569,12 +577,6 @@ def _nullspace_mod_p(m: np.ndarray, pivot_cols: tuple[int, ...], p: int) -> list
     basis[:, free_cols] = np.eye(len(free_cols), dtype=np.int64)
     basis[:, pivot_cols] = -reduced.T % p
     return basis.tolist()
-
-
-def _crt_merge(combined: list[int], modulus: int, vector: list[int], p: int) -> list[int]:
-    """Values mod modulus*p that agree with combined mod modulus and vector mod p."""
-    inverse = pow(modulus % p, -1, p)
-    return [c + modulus * ((v - c) * inverse % p) for c, v in zip(combined, vector)]
 
 
 def _reconstruct_vector(combined: list[int], modulus: int) -> list[tuple[int, int]]:
@@ -636,13 +638,18 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _vector_to_recurrence(pairs: list[tuple[int, int]], r: int, d: int) -> Recurrence:
+def _vector_to_recurrence(pairs: list[tuple[int, int]], d: int) -> Recurrence:
     """The recurrence of a reconstructed shift-major vector of fractions
     (num, den), with the denominators cleared."""
     common = lcm(*(den for _, den in pairs))
     vector = [num * (common // den) for num, den in pairs]
-    width = d + 1
-    return _normalized(vector[j * width:(j + 1) * width] for j in range(r + 1))
+    return _normalized(_as_recurrence(vector, d).coeff_polys)
+
+
+def _as_recurrence(vector: list[int], d: int) -> Recurrence:
+    """The shift-major vector's coefficient polynomials, as they are: not
+    normalized."""
+    return Recurrence(tuple(tuple(vector[j:j + d + 1]) for j in range(0, len(vector), d + 1)))
 
 
 def _normalized(polys: Iterable[Iterable[int]]) -> Recurrence:

@@ -63,7 +63,7 @@ def parse_bfile(text: str) -> SequenceSlice:
         if len(fields) != 2:
             raise SequenceParseError(f"line {lineno}: expected 'n a(n)', got {raw!r}")
         try:
-            index, value = int(fields[0]), from_decimal(fields[1])
+            index, value = from_decimal(fields[0]), from_decimal(fields[1])
         except ValueError as exc:
             raise SequenceParseError(f"line {lineno}: {exc}") from exc
         if offset is None:

@@ -295,6 +295,11 @@ class TestGuessCommand:
         bad.write_text("one two three\n")
         assert run_cli(capsys, "guess", "--terms-file", str(bad))[0] == 2
 
+    def test_integer_outside_the_grammar_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "underscore.txt"
+        bad.write_text("".join(f"{n} {n}\n" for n in range(30)) + "30 3_1\n")
+        assert run_cli(capsys, "guess", "--terms-file", str(bad))[0] == 2
+
     def test_non_utf8_file_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "latin1.txt"
         bad.write_bytes(b"1\n2\n\xff\n")

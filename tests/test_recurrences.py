@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from decimal import Decimal
@@ -51,27 +52,28 @@ FACTORIAL_REC = Recurrence(((-1, -1), (1,)))
 @pytest.fixture
 def guess_trace(monkeypatch):
     """Records the guesser's reductions: "screens" holds (prime, row count,
-    pivots, pivot rows) for each reduction outside a fit, and "fits" holds
-    each _fit call as a dict with its candidate, the rows the screen gave
-    it, and (prime, row count, rank) for each of its reductions."""
+    pivots) for each reduction outside a fit, and "fits" holds each _fit
+    call as a dict with its candidate and "primes", the (prime, pivots) of
+    each reduction of its whole system, in order.  A fit reduces its system
+    once per prime, so every prime but a fit's last was rejected."""
     screens, fits, current = [], [], []
     echelon, fit = recurrences._echelon_mod_p, recurrences._fit
 
     def tracing_echelon(m, p):
         pivots, pivot_rows = echelon(m, p)
-        if current:
-            current[-1]["reductions"].append((p, m.shape[0], len(pivots)))
-            # A fit stuck on the wrong rows would run the stream forever.
-            assert len(current[-1]["reductions"]) < 100
-        else:
-            screens.append((p, m.shape[0], pivots, pivot_rows))
+        if not current:
+            screens.append((p, m.shape[0], pivots))
+        elif m.shape[0] == current[-1]["rows"]:  # not a pivot block's [B | I]
+            current[-1]["primes"].append((p, pivots))
+            # A fit that rejects every prime would run the stream forever.
+            assert len(current[-1]["primes"]) < 100
         return pivots, pivot_rows
 
-    def tracing_fit(s, r, d, rows):
-        fits.append({"candidate": (r, d), "rows": rows, "reductions": []})
+    def tracing_fit(s, r, d):
+        fits.append({"candidate": (r, d), "rows": len(s.terms) - r, "primes": []})
         current.append(fits[-1])
         try:
-            return fit(s, r, d, rows)
+            return fit(s, r, d)
         finally:
             current.pop()
 
@@ -87,7 +89,8 @@ class TestGuess:
         assert format_recurrence(rec) == "s(n+1) - s(n) = 0"
 
     def test_zero_sequence(self):
-        # The screen finds no pivot rows: every fit prime builds 0 rows.
+        # Every row is zero: the fit's prime has no pivots, and the unit
+        # vectors of its free columns are exact from the first lift step.
         rec = guess_recurrence(SequenceSlice(0, (0,) * 20), 3, 3)
         assert rec.coeff_polys == ((), (1,))
 
@@ -138,50 +141,88 @@ class TestGuess:
         with pytest.raises(ValueError):
             guess_recurrence(SequenceSlice(0, (1,) * 20), 0, 3)
 
-    def test_unlucky_first_prime_with_worse_pivot_shape(self, guess_trace):
+    def test_unlucky_first_prime_with_worse_pivot_shape(self, guess_trace, monkeypatch):
         # Mod 2^31 - 1 (the screen's prime) the terms reduce to 2^n, whose
-        # (1, 1) system has rank 2 where the rational one has rank 3.  The
-        # screen gives the fit 2 rows, whose nullspace holds a vector that
-        # fails on the other rows, so the fit goes back to all 29 rows.
-        m = (1 << 31) - 1
+        # (1, 1) system has rank 2 where the rational one has rank 3, and
+        # whose (1, 0) system has rank 1 where the rational one has full
+        # rank, so the screen passes both.  A fit never reduces mod the
+        # screen's prime, so these fits start their stream there.  Each
+        # lifts the vector of its first free column in the top block,
+        # which solves the prime's pivot rows but not the others: the exact
+        # check rejects the prime.  The next prime shows (1, 0) full rank
+        # and accepts (1, 1).
+        m = recurrences._FIRST_PRIME
+        stream = recurrences._prime_stream
+        q = next(stream())
+        monkeypatch.setattr(recurrences, "_prime_stream", lambda: itertools.chain([m], stream()))
         terms = tuple(2**n * (1 + m * n) for n in range(30))
         rec = guess_recurrence(SequenceSlice(0, terms), 2, 2)
         assert json.loads(recurrence_to_json(rec))["coeff_polys"] == [
             ["-4294967296", "-4294967294"], ["1", "2147483647"]
         ]
-        last = guess_trace["fits"][-1]
-        assert last["candidate"] == (1, 1)
-        assert len(last["rows"]) == 2
-        row_counts = [n_rows for _, n_rows, _ in last["reductions"]]
-        assert row_counts[0] == 2 and row_counts[-1] == 29
-        assert row_counts == sorted(row_counts) and set(row_counts) == {2, 29}
+        first_fit, last_fit = guess_trace["fits"]
+        assert first_fit["candidate"] == (1, 0)
+        assert first_fit["primes"] == [(m, (0,)), (q, (0, 1))]
+        assert last_fit["candidate"] == (1, 1)
+        assert last_fit["primes"] == [(m, (0, 1)), (q, (0, 1, 2))]
 
     @pytest.mark.parametrize("index", [0, 1])
-    def test_unlucky_fit_prime_with_worse_pivot_shape(self, index, guess_trace, monkeypatch):
+    def test_unlucky_fit_prime_with_worse_pivot_shape(self, index, guess_trace):
         # Mod q the terms reduce to 2^n, whose (1, 1) system has rank 2
-        # where the rational one has rank 3.  The screen's prime is lucky
-        # and gives the fit 3 rows, which it keeps; q, as the fit's first
-        # prime or its second, never enters the combination.
-        merged_moduli = []
-        crt_merge = recurrences._crt_merge
-
-        def recording_merge(combined, modulus, vector, p):
-            merged_moduli.append(modulus * p)
-            return crt_merge(combined, modulus, vector, p)
-
-        monkeypatch.setattr(recurrences, "_crt_merge", recording_merge)
+        # where the rational one has rank 3.  As the fit's first prime, q is
+        # rejected by the exact check and the second prime is accepted; as
+        # the second, q is never reached.
         stream = recurrences._prime_stream()
-        q = [next(stream) for _ in range(2)][index]
+        primes = [next(stream) for _ in range(2)]
+        q = primes[index]
         terms = tuple(2**n * (1 + q * n) for n in range(30))
         rec = guess_recurrence(SequenceSlice(0, terms), 2, 2)
         assert rec.coeff_polys == ((-2 - 2 * q, -2 * q), (1, q))
         [fit] = guess_trace["fits"]
         assert fit["candidate"] == (1, 1)
-        assert len(fit["rows"]) == 3
-        assert {n_rows for _, n_rows, _ in fit["reductions"]} == {3}
-        assert [rank for p, _, rank in fit["reductions"] if p == q] == [2]
-        assert {rank for p, _, rank in fit["reductions"] if p != q} == {3}
-        assert merged_moduli and all(modulus % q for modulus in merged_moduli)
+        if index == 0:
+            assert fit["primes"] == [(q, (0, 1)), (primes[1], (0, 1, 2))]
+        else:
+            assert fit["primes"] == [(primes[0], (0, 1, 2))]
+
+    def test_rational_pivot_free_mod_the_fit_prime(self, guess_trace):
+        # s(n) = q^(30-n).  Over Q the (1, 0) system [s(n), s(n+1)] has
+        # pivot column 0 and free column 1.  Mod q every row but the last,
+        # [q, 1] = [0, 1], is zero, so column 1 is the pivot and column 0
+        # is free: the free columns mod q do not contain the rational one.
+        # The lift at q returns the true null vector (1, -q), which holds
+        # on every row but is nonzero past its column, so q is rejected.
+        stream = recurrences._prime_stream()
+        q, q_next = next(stream), next(stream)
+        terms = tuple(q ** (30 - n) for n in range(31))
+        rec = guess_recurrence(SequenceSlice(0, terms), 2, 2)
+        assert rec.coeff_polys == ((-1,), (q,))
+        assert verify_recurrence(Recurrence(((1,), (-q,))), SequenceSlice(0, terms)).ok
+        [fit] = guess_trace["fits"]
+        assert fit["candidate"] == (1, 0)
+        assert fit["primes"] == [(q, (1,)), (q_next, (0,))]
+
+    def test_caps_past_the_term_count_are_not_enumerated(self, monkeypatch):
+        # No order or degree past the 40 terms is feasible, so caps of 2000
+        # scan the same candidates as caps of 40, and still name 2000.
+        seen = []
+        terms_needed = recurrences._terms_needed
+
+        def counting(r, d):
+            seen.append((r, d))
+            return terms_needed(r, d)
+
+        monkeypatch.setattr(recurrences, "_terms_needed", counting)
+        primes = tuple(n for n in range(2, 174) if all(n % k for k in range(2, n)))
+        with pytest.raises(RecurrenceNotFound) as info:
+            guess_recurrence(SequenceSlice(0, primes), 2000, 2000)
+        assert (info.value.max_order, info.value.max_degree) == (2000, 2000)
+        assert len(primes) == 40 and len(seen) <= 40 * 41
+        seen.clear()
+        with pytest.raises(InsufficientData) as too_short:
+            guess_recurrence(SequenceSlice(0, (1, 2, 3)), 2000, 2000)
+        assert too_short.value.min_terms == 13
+        assert len(seen) <= 3 * 4 + 1
 
     def test_rank_deficient_mod_first_prime_but_full_rank_over_q(self):
         m = (1 << 31) - 1
@@ -283,20 +324,16 @@ class TestPinnedGuesses:
             SequenceSlice(0, tuple(terms)), DEFAULT_MAX_ORDER, DEFAULT_MAX_DEGREE
         )
         assert rec.order == 6
+        first = recurrences._FIRST_PRIME
+        assert [p for p, _, _ in guess_trace["screens"]] == [first] * DEFAULT_MAX_ORDER
+        # One fit, which reduces all of its rows once, mod the stream's first
+        # prime, and is accepted there.
         [fit] = guess_trace["fits"]
         assert fit["candidate"] == (6, 7)
-        first = recurrences._FIRST_PRIME
-        screens = guess_trace["screens"]
-        assert [p for p, _, _, _ in screens] == [first] * DEFAULT_MAX_ORDER
-        # The order-6 screen's pivot rows, cut at the (6, 7) block's rank,
-        # are the fit's rows, and every fit prime reduces exactly those rows.
-        [(_, _, pivots, pivot_rows)] = [s for s in screens if s[1] == len(terms) - 6]
-        rank = sum(c < 7 * 8 for c in pivots)
-        assert 0 < rank < len(terms) - 6
-        assert fit["rows"] == pivot_rows[:rank]
-        assert len(fit["reductions"]) > 1
-        assert first not in {p for p, _, _ in fit["reductions"]}
-        assert {n_rows for _, n_rows, _ in fit["reductions"]} == {rank}
+        assert fit["rows"] == len(terms) - 6
+        [(p, pivots)] = fit["primes"]
+        assert p == next(recurrences._prime_stream())
+        assert len(pivots) < 7 * 8
 
 
 # Guesser output on a seeded corpus beyond the families (zero-heavy,
@@ -332,11 +369,10 @@ class TestGuessCorpus:
 
 
 class TestOrderScreen:
-    """The screen decides every candidate of an order from one reduction,
-    and picks its fit's rows there: the row echelon form of the (r, d)
-    system is the leading column block of that of the (r, 3) system, and
-    its pivot rows are the leading pivot rows of that system, mod the
-    screen's prime and mod a later one."""
+    """The screen decides every candidate of an order from one reduction:
+    the row echelon form of the (r, d) system is the leading column block
+    of that of the (r, 3) system, and its pivot rows are the leading pivot
+    rows of that system, mod the screen's prime and mod a later one."""
 
     @given(
         terms=st.one_of(
@@ -458,20 +494,23 @@ def test_echelon_pivots_and_pivot_rows(rows, p):
     assert not m[len(pivots):].any()
 
 
-@given(
-    terms=st.lists(st.integers(min_value=-10**30, max_value=10**30), min_size=6, max_size=30),
-    offset=st.integers(min_value=0, max_value=5),
-    r=st.integers(min_value=1, max_value=4),
-    d=st.integers(min_value=0, max_value=3),
-    picks=st.lists(st.integers(min_value=0, max_value=25), max_size=8),
-)
-def test_system_rows_are_rows_of_the_whole_system(terms, offset, r, d, picks):
-    s = SequenceSlice(offset, tuple(terms))
-    p = recurrences._FIRST_PRIME
-    whole = recurrences._system(s, r, d, p)
-    assert whole.shape == (len(terms) - r, (r + 1) * (d + 1))
-    rows = tuple(i % whole.shape[0] for i in picks)
-    np.testing.assert_array_equal(recurrences._system(s, r, d, p, rows), whole[list(rows)])
+def test_lifted_vectors_solve_the_pivot_rows():
+    # Order 3, degree 2 over the derangement numbers: the order-2
+    # recurrence and its multiples leave several free columns to lift.
+    s, r, d = derangement_slice(40), 3, 2
+    p = next(recurrences._prime_stream())
+    order = [e * (r + 1) + j for j in range(r + 1) for e in range(d + 1)]
+    system = recurrences._system(s, r, d, p).take(order, axis=1)
+    pivots, rows = recurrences._echelon_mod_p(system.copy(), p)
+    free = [c for c in range(len(order)) if c not in pivots]
+    assert len(free) > 1
+    lift = recurrences._lift(s, d, p, system, pivots, rows, free)
+    for k, (vectors, modulus) in zip(range(1, 4), lift):
+        assert modulus == p**k
+        for c, vector in zip(free, vectors):
+            assert [vector[f] for f in free] == [int(f == c) for f in free]
+            rec = recurrences._as_recurrence(vector, d)
+            assert all(recurrences._residual(rec, s, i) % modulus == 0 for i in rows)
 
 
 def test_prime_stream_is_the_primes_below_the_first_prime():

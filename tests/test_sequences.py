@@ -56,6 +56,14 @@ class TestBFileFormat:
         with pytest.raises(SequenceParseError):
             parse_bfile("# nothing\n")
 
+    @pytest.mark.parametrize("line", ["0 1_0", "0 \u0663", "0 +-1", "0_0 1", "\u0660 1"])
+    def test_parse_rejects_integers_outside_the_grammar(self, line):
+        # Only an optional sign and ASCII digits, as at every length:
+        # int() alone would read "1_0" as 10 and the Arabic-Indic digits
+        # as 3 and 0.
+        with pytest.raises(SequenceParseError):
+            parse_bfile(f"{line}\n1 2\n")
+
 
 class TestPlainFormat:
     def test_roundtrip(self):
@@ -65,6 +73,14 @@ class TestPlainFormat:
     def test_parse_empty_rejected(self):
         with pytest.raises(SequenceParseError):
             parse_plain("\n\n")
+
+    @pytest.mark.parametrize("line", ["1_0", "\u0663", "1 0", "0x10"])
+    def test_parse_rejects_integers_outside_the_grammar(self, line):
+        with pytest.raises(SequenceParseError):
+            parse_plain(f"1\n{line}\n")
+
+    def test_parse_takes_signs_and_surrounding_space(self):
+        assert parse_plain(" +3 \n-04\n") == SequenceSlice(0, (3, -4))
 
 
 class TestAutodetect:
