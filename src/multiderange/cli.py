@@ -5,7 +5,7 @@ arguments and cached data produces byte-identical output.  Exit codes:
 
   0  success (including an offline cross-check verdict)
   2  usage error (bad flags, malformed ids, unreadable term files,
-     an unwritable --recurrence-out path)
+     an unwritable --recurrence-out path or OEIS cache directory)
   3  computation error (search exhausted, oracle bound exceeded, a malformed
      or non-UTF-8 cached b-file, ...)
   4  cross-check mismatch
@@ -26,6 +26,7 @@ import json
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 from .bigint import to_decimal
@@ -33,6 +34,7 @@ from .counting import (
     classic_derangement,
     multiset_derangement,
     uniform_prefix,
+    uniform_terms,
     wrong_rank_probability,
 )
 from .errors import (
@@ -48,7 +50,7 @@ from .recurrences import (
     extend_sequence,
     format_recurrence,
     guess_recurrence,
-    guess_uniform,
+    guess_seed,
     recurrence_to_json,
 )
 from .sequences import SequenceSlice, format_bfile, format_plain, parse_terms_file
@@ -224,16 +226,14 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    direction = f"fixed_{args.fixed}"
+    stream = uniform_terms(f"fixed_{args.fixed}", args.value)
+    terms = list(islice(stream, min(args.seed, args.upto + 1)))
     recurrence = produced = None
     if not (args.direct_only or args.upto < args.seed):
         try:
-            seed, guessed = guess_uniform(
-                direction, args.value, args.seed,
-                max_order=args.max_order, max_degree=args.max_degree,
-            )
+            guessed = guess_seed(SequenceSlice(0, tuple(terms)), args.max_order, args.max_degree)
             # Extended terms stay Decimal through to the text: see extend_sequence.
-            decimal_seed = SequenceSlice(seed.offset, tuple(map(Decimal, seed.terms)))
+            decimal_seed = SequenceSlice(0, tuple(map(Decimal, terms)))
             produced = extend_sequence(guessed, decimal_seed, args.upto)
             recurrence = guessed
         except MultiDerangeError as exc:
@@ -241,7 +241,7 @@ def _cmd_table(args) -> int:
                 raise
             print(f"guessing failed ({exc}); computing directly", file=sys.stderr)
     if produced is None:
-        terms = uniform_prefix(direction, args.value, args.upto + 1)
+        terms.extend(islice(stream, args.upto + 1 - len(terms)))
         produced = SequenceSlice(0, tuple(terms))
 
     if args.format == "structured":
@@ -296,7 +296,11 @@ def _cmd_oeis_check(args) -> int:
     direction = f"fixed_{args.fixed}"
     local = SequenceSlice(0, tuple(uniform_prefix(direction, args.value, args.count)))
     client = OeisClient(cache_dir=args.cache_dir, online=args.online)
-    report = client.cross_check(local, args.id)
+    try:
+        report = client.cross_check(local, args.id)
+    except OSError as exc:  # filling its cache is the client's only file system write
+        print(f"error: cannot write {client.cache_dir}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     if args.format == "structured":
         _print_json({
             "sequence_id": report.sequence_id,

@@ -29,10 +29,11 @@ balanced tree.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import polys
 from .errors import InstanceTooLarge, InternalInconsistency
@@ -205,42 +206,43 @@ def _product_recurrence(groups: dict[int, int]) -> list[int]:
     return q
 
 
-def uniform_fixed_k_prefix(k: int, count: int) -> list[int]:
-    """[F(0), ..., F(count-1)] where F(n) counts derangements of k^n copies.
-
-    Shares one running product (k! * L_k)^n across the prefix.  Each step
-    multiplies it by the short factor k! * L_k through `polys.int_mul`,
-    whose dispatch keeps this long x short product in the schoolbook loop.
-    """
-    short = scaled_laguerre(k)
-    scale_step = factorial(k)
-    out = []
-    running = [1]
-    scale = 1
-    for n in range(count):
-        if n:
-            running = polys.int_mul(running, short)
-            scale *= scale_step
-        out.append(_signed_count(integer_moment(running), n * k, scale))
-    return out
-
-
-def uniform_fixed_n_prefix(n: int, count: int) -> list[int]:
-    """[F(0), ..., F(count-1)] where F(k) counts derangements of k^n copies."""
-    return [uniform_count(n, k) for k in range(count)]
-
-
-def uniform_prefix(direction: str, value: int, count: int) -> list[int]:
-    """The first `count` terms of the uniform family along `direction`.
+def uniform_terms(direction: str, value: int) -> Iterator[int]:
+    """F(0), F(1), ... of the uniform family along `direction`, one term per
+    next(); the direction is checked at the call.
 
     "fixed_k" runs over the number of symbols n with multiplicity `value`;
     "fixed_n" runs over the multiplicity k with `value` symbols.
     """
     if direction == "fixed_k":
-        return uniform_fixed_k_prefix(value, count)
+        return _fixed_k_terms(value)
     if direction == "fixed_n":
-        return uniform_fixed_n_prefix(value, count)
+        return (uniform_count(value, k) for k in itertools.count())
     raise ValueError(f"direction must be 'fixed_k' or 'fixed_n', got {direction!r}")
+
+
+def _fixed_k_terms(k: int) -> Iterator[int]:
+    """The fixed-k terms from one running product (k! * L_k)^n.  Each step
+    multiplies it by the short factor k! * L_k through `polys.int_mul`,
+    whose dispatch keeps this long x short product in the schoolbook loop.
+    """
+    short = scaled_laguerre(k)
+    scale_step = factorial(k)
+    running = [1]
+    scale = 1
+    for n in itertools.count():
+        yield _signed_count(integer_moment(running), n * k, scale)
+        running = polys.int_mul(running, short)
+        scale *= scale_step
+
+
+def uniform_prefix(direction: str, value: int, count: int) -> list[int]:
+    """The first `count` terms of uniform_terms(direction, value)."""
+    return list(itertools.islice(uniform_terms(direction, value), count))
+
+
+def uniform_fixed_k_prefix(k: int, count: int) -> list[int]:
+    """[F(0), ..., F(count-1)] where F(n) counts derangements of k^n copies."""
+    return uniform_prefix("fixed_k", k, count)
 
 
 def _signed_count(moment: int, total: int, scale: int = 1) -> int:

@@ -129,8 +129,12 @@ class OeisClient:
     def _write_cache(self, cache_file: Path, data: bytes) -> None:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         tmp = cache_file.with_suffix(".tmp")
-        tmp.write_bytes(data)
-        os.replace(tmp, cache_file)  # readers never see partial files
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, cache_file)  # readers never see partial files
+        except OSError:
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 def _check_id(sequence_id: str) -> None:

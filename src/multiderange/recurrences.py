@@ -221,31 +221,19 @@ def extend_sequence(rec: Recurrence, init: SequenceSlice, upto: int) -> Sequence
     return SequenceSlice(offset, tuple(terms))
 
 
-def guess_uniform(
-    direction: str,
-    fixed_value: int,
-    seed_count: int,
-    *,
-    max_order: int = DEFAULT_MAX_ORDER,
-    max_degree: int = DEFAULT_MAX_DEGREE,
-) -> tuple[SequenceSlice, Recurrence]:
-    """Seed with direct counts, guess, and check the held-out terms.
+def guess_seed(seed: SequenceSlice, max_order: int, max_degree: int) -> Recurrence:
+    """Guess from all but the last GUESS_MARGIN (10) seed terms, then check
+    those held-out terms exactly.
 
-    direction and fixed_value select the family as in
-    `counting.uniform_prefix`.  The last GUESS_MARGIN (10) seed terms are
-    withheld from the guesser and then checked exactly; a miss raises
-    HoldoutMismatch rather than returning a fit that already failed once.
-    Returns the seed (int terms, indices 0..seed_count-1) and the
-    recurrence, ready for extend_sequence.
+    A miss raises HoldoutMismatch rather than returning a fit that already
+    failed once, so the recurrence returned holds on the whole seed.
     """
-    terms = uniform_prefix(direction, fixed_value, seed_count)
-    seed = SequenceSlice(0, tuple(terms))
-    shown = SequenceSlice(0, seed.terms[:-GUESS_MARGIN])
+    shown = SequenceSlice(seed.offset, seed.terms[:-GUESS_MARGIN])
     rec = guess_recurrence(shown, max_order, max_degree)
     report = verify_recurrence(rec, seed)
     if not report.ok:
         raise HoldoutMismatch(report.failures[0])
-    return seed, rec
+    return rec
 
 
 def guess_and_extend_uniform(
@@ -257,12 +245,13 @@ def guess_and_extend_uniform(
     max_order: int = DEFAULT_MAX_ORDER,
     max_degree: int = DEFAULT_MAX_DEGREE,
 ) -> tuple[SequenceSlice, Recurrence]:
-    """guess_uniform, then extend the int seed through index upto."""
+    """guess_seed on the first seed_count terms of
+    counting.uniform_terms(direction, fixed_value), then extend the int seed
+    through index upto."""
     if upto < seed_count:
         raise ValueError("upto must reach past the seed terms")
-    seed, rec = guess_uniform(
-        direction, fixed_value, seed_count, max_order=max_order, max_degree=max_degree
-    )
+    seed = SequenceSlice(0, tuple(uniform_prefix(direction, fixed_value, seed_count)))
+    rec = guess_seed(seed, max_order, max_degree)
     return extend_sequence(rec, seed, upto), rec
 
 

@@ -232,6 +232,21 @@ class TestTable:
         assert "computing directly" in err
         assert out.splitlines()[-1] == str(classic_derangement(60))
 
+    def test_fallback_continues_the_seed(self, capsys, monkeypatch):
+        from multiderange import counting
+
+        calls = []
+        count = counting.uniform_count
+        monkeypatch.setattr(counting, "uniform_count", lambda n, k: calls.append(k) or count(n, k))
+        code, out, err = run_cli(
+            capsys, "table", "--fixed", "n", "--value", "3", "--upto", "30",
+            "--seed", "25", "--max-order", "1", "--max-degree", "0",
+        )
+        assert code == 0
+        assert "computing directly" in err
+        assert calls == list(range(31))  # each term once
+        assert out.split() == [str(count(3, k)) for k in range(31)]
+
     def test_no_fallback_makes_failure_fatal(self, capsys):
         code, _, err = run_cli(
             capsys, "table", "--fixed", "k", "--value", "1", "--upto", "60",
@@ -401,6 +416,26 @@ class TestOeisCheck:
         assert err.startswith("error: ")
         assert len(requests) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("blocked", ["cache dir is a file", "cache entry is a directory"])
+    def test_unwritable_cache_is_usage_error(self, capsys, tmp_path, monkeypatch, blocked):
+        monkeypatch.delenv("MULTIDERANGE_OFFLINE", raising=False)
+        monkeypatch.setattr(
+            urllib.request, "urlopen", lambda url, timeout: io.BytesIO(b"0 1\n1 0\n2 1\n")
+        )
+        cache_dir = tmp_path / "cache"
+        if blocked == "cache dir is a file":
+            cache_dir.write_text("")
+        else:
+            (cache_dir / "b999991.txt").mkdir(parents=True)
+        code, out, err = run_cli(
+            capsys, "oeis-check", "--id", "A999991", "--fixed", "k", "--value", "1",
+            "--count", "3", "--online", "--cache-dir", str(cache_dir),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {cache_dir}: ")
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_unknown_uncached_id_reports_offline(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MULTIDERANGE_OEIS_CACHE", str(tmp_path))

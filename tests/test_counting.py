@@ -17,7 +17,8 @@ from multiderange.counting import (
     total_arrangements,
     uniform_count,
     uniform_fixed_k_prefix,
-    uniform_fixed_n_prefix,
+    uniform_prefix,
+    uniform_terms,
     wrong_rank_probability,
 )
 from multiderange import counting
@@ -187,7 +188,17 @@ class TestUniformFamily:
     def test_prefix_helpers_match_pointwise(self):
         for k in range(7):
             assert uniform_fixed_k_prefix(k, 40) == [uniform_count(n, k) for n in range(40)], k
-        assert uniform_fixed_n_prefix(3, 12) == [uniform_count(3, k) for k in range(12)]
+        assert uniform_prefix("fixed_n", 3, 12) == [uniform_count(3, k) for k in range(12)]
+
+    @pytest.mark.parametrize("direction", ["fixed_k", "fixed_n"])
+    def test_terms_resume_where_they_stopped(self, direction):
+        stream = uniform_terms(direction, 3)
+        first = [next(stream) for _ in range(7)]
+        assert first + [next(stream) for _ in range(5)] == uniform_prefix(direction, 3, 12)
+
+    def test_unknown_direction_rejected_before_the_first_term(self):
+        with pytest.raises(ValueError, match="direction"):
+            uniform_terms("sideways", 3)
 
 
 class TestInvariants:

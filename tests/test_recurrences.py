@@ -656,9 +656,7 @@ class TestGuessAndExtend:
         from multiderange import counting
 
         poisoned = [2**i for i in range(39)] + [999]
-        monkeypatch.setattr(
-            counting, "uniform_fixed_k_prefix", lambda k, count: poisoned[:count]
-        )
+        monkeypatch.setattr(counting, "uniform_terms", lambda direction, value: iter(poisoned))
         with pytest.raises(HoldoutMismatch):
             guess_and_extend_uniform("fixed_k", 9, 40, 100)
 
