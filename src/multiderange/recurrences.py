@@ -32,12 +32,12 @@ other free column, and the first of them with a nonzero top (order-r)
 block is the order-r solution with the least-degree leading polynomial:
 that is the vector returned.  The fit lifts the vectors of the prime's free
 columns, up to its first free column of the top block, p-adically (Dixon)
-with one inverse of the pivot block mod p, and rationally reconstructs
-them once a probe coordinate reconstructs to the same fraction at two
-consecutive powers of p.  The prime is accepted only if every vector is
-zero past its own column and passes the exact check below; then the
-vectors are the canonical ones (see _fit).  Any other outcome moves on to
-the next prime.
+with one inverse of the pivot block B mod p, taken by forward elimination
+of [B | I] and a back-substitution, and rationally reconstructs them once
+a probe coordinate reconstructs to the same fraction at two consecutive
+powers of p.  The prime is accepted only if every vector is zero past its
+own column and passes the exact check below; then the vectors are the
+canonical ones (see _fit).  Any other outcome moves on to the next prime.
 
 One exact check accepts: a reconstructed vector is returned only as a
 recurrence of the candidate's order (nonzero top coefficient block) whose
@@ -74,7 +74,7 @@ from .errors import (
 from .sequences import SequenceSlice
 
 # numpy is imported only inside the functions that use it (_system,
-# _echelon_mod_p, _nullspace_mod_p): loading it takes longer than any
+# _echelon_mod_p, _inverse_mod_p, _lift): loading it takes longer than any
 # command that guesses no recurrence, and those commands never need it.
 
 # Equations beyond unknowns required before a fit may be accepted.
@@ -393,6 +393,15 @@ def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
     column.  Any other outcome, a nonzero past the column or a failed
     exact check (from an unlucky prime, or an attempt made too early),
     moves on to the next prime.  Only finitely many primes are unlucky.
+
+    The stream starts below _FIRST_PRIME, so a fit never reduces mod the
+    screen's prime.  Terms unlucky for that prime pass the screen wherever
+    their reduction mod it has a relation, and a fit at that prime would
+    lift each such candidate until the exact check fails.  On the first 80
+    terms of the k = 3 family plus (2^31 - 1) * g(n), g random in 1..999,
+    the guess makes 32 fits and rejects each at its first prime without a
+    lift, in 0.2 s; starting the stream at _FIRST_PRIME, one (5, 4) fit
+    took 319 lift steps and 0.98 s, and the whole guess 460 s.
     """
     n_cols = (r + 1) * (d + 1)
     # Column j*(d+1) + e of the fit is column e*(r+1) + j of _system.
@@ -442,22 +451,20 @@ def _lift(
 
     system is the shift-major system A mod p, and pivots and pivot_rows
     are its pivot columns and pivot rows R.  The pivot block B, R's
-    entries in the pivot columns, is invertible mod p, and -B^-1 mod p is
-    read from the nullspace of [B | I].  The vector of free column c is 1
-    at c, 0 at every other free column, and solves the rows R over Q:
-    B z = -A_R e_c.  Each step takes the next base-p digit of z from the
-    exact residual, which is then updated and divided by p exactly.  Row n
-    of A times a vector is sum over j of z_j(n) * s(n+j), with z_j the
-    vector's shift-j polynomial, so a step costs r+1 big-by-small products
-    per row.
+    entries in the pivot columns, is invertible mod p; _inverse_mod_p
+    takes B^-1 mod p by forward elimination of [B | I] and a
+    back-substitution, and the lift negates it once.  The vector of free
+    column c is 1 at c, 0 at every other free column, and solves the rows
+    R over Q: B z = -A_R e_c.  Each step takes the next base-p digit of z
+    from the exact residual, which is then updated and divided by p
+    exactly.  Row n of A times a vector is sum over j of z_j(n) * s(n+j),
+    with z_j the vector's shift-j polynomial, so a step costs r+1
+    big-by-small products per row.
     """
     import numpy as np
 
-    rank, n_cols = len(pivots), system.shape[1]
-    block = np.hstack([system[np.ix_(pivot_rows, pivots)], np.eye(rank, dtype=np.int64)])
-    _echelon_mod_p(block, p)
-    basis = _nullspace_mod_p(block, tuple(range(rank)), p)
-    inverse = np.array(basis, dtype=np.int64).reshape(rank, 2 * rank)[:, :rank].T
+    n_cols = system.shape[1]
+    inverse = -_inverse_mod_p(system[np.ix_(pivot_rows, pivots)], p) % p
     shifts = [s.offset + i for i in pivot_rows]
     vectors = [[int(col == c) for col in range(n_cols)] for c in free]
     residuals = [[_residual(_as_recurrence(v, d), s, n) for n in shifts] for v in vectors]
@@ -538,34 +545,24 @@ def _echelon_mod_p(m: np.ndarray, p: int) -> tuple[tuple[int, ...], tuple[int, .
     return tuple(pivot_cols), tuple(order[:rank].tolist())
 
 
-def _nullspace_mod_p(m: np.ndarray, pivot_cols: tuple[int, ...], p: int) -> list[list[int]]:
-    """The nullspace mod p of a system in the row echelon form of
-    _echelon_mod_p, one basis vector per free column f in ascending order:
-    coordinate f is 1, every other free coordinate is 0, and the coordinate
-    of each pivot is minus its row's entry in column f of the reduced row
-    echelon form.
+def _inverse_mod_p(b: np.ndarray, p: int) -> np.ndarray:
+    """B^-1 mod p of a square B invertible mod p.
 
-    Only those free-column entries are reduced, by back-substitution over
-    the unit upper-triangular pivot block: rank^2 * nullity operations
-    rather than a full Gauss-Jordan pass.  A reduced row is zero left of
-    its pivot, so each vector is also 0 past f.  For [B | I] with B
-    invertible mod p, the pivots are B's columns and the vector of free
-    column rank+k holds column k of -B^-1 mod p, which is how _lift
-    inverts its pivot block.
+    _echelon_mod_p brings [B | I] to [U | M], with U = M B unit upper
+    triangular.  Back-substitution over U, applied to the right half only,
+    turns M into U^-1 M = B^-1.
     """
     import numpy as np
 
-    n_cols = m.shape[1]
-    free_cols = [c for c in range(n_cols) if c not in pivot_cols]
-    reduced = m[:len(pivot_cols), free_cols]
-    for i in range(len(pivot_cols) - 1, 0, -1):
+    rank = len(b)
+    m = np.hstack([b, np.eye(rank, dtype=np.int64)])
+    _echelon_mod_p(m, p)
+    inverse = m[:, rank:]
+    for i in range(rank - 1, 0, -1):
         # Row i is reduced: clear its pivot column from the rows above.
-        reduced[:i] -= np.multiply.outer(m[:i, pivot_cols[i]], reduced[i])
-        reduced[:i] %= p
-    basis = np.zeros((len(free_cols), n_cols), dtype=np.int64)
-    basis[:, free_cols] = np.eye(len(free_cols), dtype=np.int64)
-    basis[:, pivot_cols] = -reduced.T % p
-    return basis.tolist()
+        inverse[:i] -= np.multiply.outer(m[:i, i], inverse[i])
+        inverse[:i] %= p
+    return inverse
 
 
 def _reconstruct_vector(combined: list[int], modulus: int) -> list[tuple[int, int]]:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 from decimal import Decimal
 from pathlib import Path
 
@@ -201,6 +202,31 @@ class TestGuess:
         [fit] = guess_trace["fits"]
         assert fit["candidate"] == (1, 0)
         assert fit["primes"] == [(q, (1,)), (q_next, (0,))]
+
+    def test_fits_never_use_the_screens_prime(self, guess_trace, monkeypatch):
+        # Mod 2^31 - 1 the terms are the k = 3 family, which has a short
+        # recurrence, so the screen passes 32 candidates that have no
+        # rational solution.  Each fit shows full rank at its first prime
+        # and never lifts.  A fit that started at the screen's prime would
+        # lift each of them hundreds of steps (about 460 s in all), so an
+        # entered _lift fails the test at once.
+        def no_lift(*args):
+            raise AssertionError("a fit lifted")
+
+        monkeypatch.setattr(recurrences, "_lift", no_lift)
+        m = recurrences._FIRST_PRIME
+        rng = random.Random(1)
+        family = uniform_prefix("fixed_k", 3, 80)
+        terms = tuple(t + m * rng.randint(1, 999) for t in family)
+        with pytest.raises(RecurrenceNotFound):
+            guess_recurrence(SequenceSlice(0, terms), 12, 12)
+        assert {p for p, _, _ in guess_trace["screens"]} == {m}
+        fits = guess_trace["fits"]
+        assert len(fits) == 32
+        q = next(recurrences._prime_stream())
+        for fit in fits:
+            r, d = fit["candidate"]
+            assert fit["primes"] == [(q, tuple(range((r + 1) * (d + 1))))]
 
     def test_caps_past_the_term_count_are_not_enumerated(self, monkeypatch):
         # No order or degree past the 40 terms is feasible, so caps of 2000
@@ -404,33 +430,6 @@ class TestOrderScreen:
                     assert not block[rank:].any()
 
 
-@given(
-    terms=st.lists(st.integers(min_value=-3, max_value=3), min_size=2, max_size=14),
-    offset=st.integers(min_value=0, max_value=3),
-    r=st.integers(min_value=1, max_value=3),
-    d=st.integers(min_value=0, max_value=2),
-    p=st.sampled_from([5, recurrences._FIRST_PRIME]),
-)
-def test_nullspace_basis_is_canonical(terms, offset, r, d, p):
-    # The shift-major system, built here from its definition: column
-    # j*(d+1) + e holds n^e * s(n+j).
-    rows = [
-        [n**e * terms[n - offset + j] % p for j in range(r + 1) for e in range(d + 1)]
-        for n in range(offset, offset + len(terms) - r)
-    ]
-    n_cols = (r + 1) * (d + 1)
-    m = np.array(rows, dtype=np.int64).reshape(len(rows), n_cols)
-    pivots, _ = recurrences._echelon_mod_p(m, p)
-    free_cols = [c for c in range(n_cols) if c not in pivots]
-    basis = recurrences._nullspace_mod_p(m, pivots, p)
-    assert len(basis) == len(free_cols)
-    for f, vector in zip(free_cols, basis):
-        assert all(sum(a * v for a, v in zip(row, vector)) % p == 0 for row in rows)
-        assert vector[f] == 1
-        assert not any(vector[f + 1:])
-        assert all(vector[c] == 0 for c in free_cols if c != f)
-
-
 def _reference_pivots(rows, n_cols, p):
     """The pivot columns of the RREF of rows mod p, by textbook Gauss-Jordan
     on lists."""
@@ -472,6 +471,48 @@ def _small_systems(n_cols):
             ),
         ),
     )
+
+
+@st.composite
+def _invertible_mod(draw, p):
+    """A random square matrix invertible mod p, sizes 0-12, as lists: a
+    row permutation of L D U with L and U unit lower and upper triangular
+    and D diagonal and nonzero mod p."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    entry, unit = st.integers(0, p - 1), st.integers(1, p - 1)
+    lower = [[draw(entry) if j < i else int(j == i) for j in range(n)] for i in range(n)]
+    upper = [[draw(entry) if j > i else int(j == i) for j in range(n)] for i in range(n)]
+    diagonal = [draw(unit) for _ in range(n)]
+    order = draw(st.permutations(range(n)))
+    product = _product_rows(lower, [[x * diagonal[i] for x in row] for i, row in enumerate(upper)])
+    return [[x % p for x in product[i]] for i in order]
+
+
+def _assert_inverse_mod(b, p):
+    inverse = recurrences._inverse_mod_p(np.array(b, dtype=np.int64).reshape(len(b), len(b)), p)
+    assert inverse.shape == (len(b), len(b))
+    assert ((0 <= inverse) & (inverse < p)).all()
+    # Python ints: a product of two entries near 2^31 overflows int64 sums.
+    product = _product_rows(b, inverse.tolist())
+    assert [[x % p for x in row] for row in product] == [
+        [int(i == j) for j in range(len(b))] for i in range(len(b))
+    ]
+
+
+@given(data=st.data(), p=st.sampled_from([5, recurrences._FIRST_PRIME]))
+def test_inverse_mod_p(data, p):
+    _assert_inverse_mod(data.draw(_invertible_mod(p)), p)
+
+
+def test_inverse_of_the_k6_pivot_block():
+    # The pivot block of the accepted (10, 9) fit of the 190-term k = 6 guess.
+    s, r, d = SequenceSlice(0, tuple(uniform_prefix("fixed_k", 6, 190))), 10, 9
+    p = next(recurrences._prime_stream())
+    order = [e * (r + 1) + j for j in range(r + 1) for e in range(d + 1)]
+    system = recurrences._system(s, r, d, p)[:, order]
+    pivots, rows = recurrences._echelon_mod_p(system.copy(), p)
+    assert len(pivots) == 109
+    _assert_inverse_mod(system[np.ix_(rows, pivots)].tolist(), p)
 
 
 @given(
