@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
-from .bigint import to_decimal
+from .bigint import from_decimal, to_decimal
 from .counting import (
     classic_derangement,
     multiset_derangement,
@@ -161,10 +161,15 @@ def _add_search_caps(p: argparse.ArgumentParser) -> None:
 
 
 def _int_at_least(low: int):
-    """argparse type: an int >= low, so a bad value is a usage error."""
+    """argparse type: an int >= low, so a bad value is a usage error.
+
+    The text is read with the b-file grammar of bigint.from_decimal: an
+    optional sign and ASCII digits, so '1_0', ' 5' and non-ASCII digits,
+    which int() would take, are usage errors too.
+    """
 
     def parse(text: str) -> int:
-        value = int(text)
+        value = from_decimal(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value

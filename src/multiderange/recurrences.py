@@ -23,8 +23,8 @@ left of its block boundary, and a candidate with full rank is rejected
 without a fit.
 
 One exact solver fits every other candidate.  It reduces the candidate's
-system over every row mod one prime of a descending stream of other 31-bit
-primes, once, with the columns in shift-major order: all the columns of
+system over every row mod one prime of a descending stream of primes below
+2^30, once, with the columns in shift-major order: all the columns of
 s(n) first, then those of s(n+1), ...  Full column rank rejects again.
 Otherwise the rational nullspace has one canonical basis vector per free
 column of its reduced row echelon form, 1 there and 0 past it and at every
@@ -394,14 +394,15 @@ def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
     exact check (from an unlucky prime, or an attempt made too early),
     moves on to the next prime.  Only finitely many primes are unlucky.
 
-    The stream starts below _FIRST_PRIME, so a fit never reduces mod the
+    The stream holds the primes below 2^30, so a fit never reduces mod the
     screen's prime.  Terms unlucky for that prime pass the screen wherever
     their reduction mod it has a relation, and a fit at that prime would
     lift each such candidate until the exact check fails.  On the first 80
     terms of the k = 3 family plus (2^31 - 1) * g(n), g random in 1..999,
     the guess makes 32 fits and rejects each at its first prime without a
-    lift, in 0.2 s; starting the stream at _FIRST_PRIME, one (5, 4) fit
-    took 319 lift steps and 0.98 s, and the whole guess 460 s.
+    lift, in 0.07 s; starting the stream at _FIRST_PRIME, one (5, 4) fit
+    takes 319 lift steps and 0.9 s, and the whole guess took 460 s when it
+    was last measured, with the fit primes still below 2^31 - 1.
     """
     n_cols = (r + 1) * (d + 1)
     # Column j*(d+1) + e of the fit is column e*(r+1) + j of _system.
@@ -489,8 +490,8 @@ def _system(s: SequenceSlice, r: int, d: int, p: int) -> np.ndarray:
     """The (r, d) system of s mod p, one row per shift n, with degree-major
     columns: column e*(r+1) + j holds n^e * s(n+j).
 
-    Entries stay below p < 2^31, so every product formed during modular
-    elimination fits in int64 with room to spare.
+    Entries are in [0, p) with p < 2^31, as _echelon_mod_p requires of its
+    input.
     """
     import numpy as np
 
@@ -516,15 +517,24 @@ def _echelon_mod_p(m: np.ndarray, p: int) -> tuple[tuple[int, ...], tuple[int, .
     pivot columns are those of the reduced row echelon form, the leading
     rank rows are unit upper triangular on them, and every row past the
     rank is zero.  The pivot rows are independent mod p, hence over Q.
+
+    Entries of m are in [0, p) on entry and on return.  In between, the
+    trailing block is reduced only every _deferral(p) updates (see there);
+    each column is reduced before its pivot search and each pivot row
+    before it is scaled, so every pivot, pivot row and zero test is the one
+    of elimination that reduces after every update.
     """
     import numpy as np
 
     n_rows, n_cols = m.shape
     order = np.arange(n_rows)
+    interval, pending = _deferral(p), 0
     rank = 0
     pivot_cols: list[int] = []
     for col in range(n_cols):
-        nonzero = np.flatnonzero(m[rank:, col])
+        column = m[rank:, col]
+        column %= p
+        nonzero = np.flatnonzero(column)
         if nonzero.size == 0:
             continue
         pivot_row = rank + int(nonzero[0])
@@ -532,11 +542,15 @@ def _echelon_mod_p(m: np.ndarray, p: int) -> tuple[tuple[int, ...], tuple[int, .
             m[[rank, pivot_row]] = m[[pivot_row, rank]]
             order[[rank, pivot_row]] = order[[pivot_row, rank]]
         row = m[rank, col:]
+        row %= p
         row *= pow(int(row[0]), -1, p)
         row %= p
         below = m[rank + 1:, col + 1:]
-        below -= np.multiply.outer(m[rank + 1:, col], row[1:])
-        below %= p
+        if pending == interval:
+            below %= p
+            pending = 0
+        below -= np.multiply.outer(_balanced(m[rank + 1:, col], p), _balanced(row[1:], p))
+        pending += 1
         m[rank + 1:, col] = 0
         pivot_cols.append(col)
         rank += 1
@@ -550,7 +564,8 @@ def _inverse_mod_p(b: np.ndarray, p: int) -> np.ndarray:
 
     _echelon_mod_p brings [B | I] to [U | M], with U = M B unit upper
     triangular.  Back-substitution over U, applied to the right half only,
-    turns M into U^-1 M = B^-1.
+    turns M into U^-1 M = B^-1; it reduces the rows above row i only every
+    _deferral(p) steps, and row i before it is used.
     """
     import numpy as np
 
@@ -558,22 +573,65 @@ def _inverse_mod_p(b: np.ndarray, p: int) -> np.ndarray:
     m = np.hstack([b, np.eye(rank, dtype=np.int64)])
     _echelon_mod_p(m, p)
     inverse = m[:, rank:]
+    interval, pending = _deferral(p), 0
     for i in range(rank - 1, 0, -1):
-        # Row i is reduced: clear its pivot column from the rows above.
-        inverse[:i] -= np.multiply.outer(m[:i, i], inverse[i])
-        inverse[:i] %= p
+        # Row i of U has its unit pivot at column i: clear that column from
+        # the rows above.
+        if pending == interval:
+            inverse[:i] %= p
+            pending = 0
+        inverse[i] %= p
+        inverse[:i] -= np.multiply.outer(_balanced(m[:i, i], p), _balanced(inverse[i], p))
+        pending += 1
+    inverse %= p
     return inverse
+
+
+def _deferral(p: int) -> int:
+    """How many updates an int64 entry in [0, p) can take before it must be
+    reduced mod p: each update is a product of two balanced residues, of
+    magnitude at most (p//2)^2, and the entry stays below 2^63 in
+    magnitude.  8 at p = 2^31 - 1, at least 32 below 2^30."""
+    return ((1 << 63) - p) // (p // 2) ** 2
+
+
+def _balanced(x: np.ndarray, p: int) -> np.ndarray:
+    """x in [0, p) as balanced residues mod p, in [-(p//2), p//2]."""
+    return x - p * (x > p // 2)
 
 
 def _reconstruct_vector(combined: list[int], modulus: int) -> list[tuple[int, int]]:
     """Rational reconstructions of the coordinates in order, up to the first
-    that has none; the result is shorter than combined exactly then."""
-    pairs = []
+    that has none; the result is shorter than combined exactly then.
+
+    The coordinates of a vector mostly share their denominators, so each is
+    first tried against common, the lcm of the denominators found so far.
+    Every such denominator is prime to modulus: a pair (num, den) of
+    _rational_reconstruct has num = den * value mod modulus, so a factor
+    that den shared with modulus would divide num too.  If x = value *
+    common mod modulus, in balanced form, and common are both within the
+    bound of _rational_reconstruct, then x/common in lowest terms is a
+    fraction within the bound equal to value mod modulus; that fraction is
+    unique, so it is the pair _rational_reconstruct would return.  Only the
+    other coordinates run the extended Euclid.
+    """
+    bound = isqrt(modulus // 2)
+    pairs: list[tuple[int, int]] = []
+    common = 1
     for value in combined:
+        if common <= bound:
+            x = value * common % modulus
+            if x > modulus // 2:
+                x -= modulus
+            if abs(x) <= bound:
+                g = gcd(x, common)
+                pairs.append((x // g, common // g))
+                continue
         pair = _rational_reconstruct(value, modulus)
         if pair is None:
             break
         pairs.append(pair)
+        common = lcm(common, pair[1])
     return pairs
 
 
@@ -594,9 +652,14 @@ def _rational_reconstruct(value: int, modulus: int) -> tuple[int, int] | None:
 
 
 def _prime_stream():
-    """The primes below _FIRST_PRIME in descending order, the primes of
-    every fit."""
-    for n in range(_FIRST_PRIME - 2, 1 << 30, -2):
+    """The primes below 2^30 in descending order, the primes of every fit.
+
+    Each is one 30-bit digit of a CPython int, so the fit's big-int
+    reductions mod p (the terms in _system, the residuals in _lift) are
+    divisions by a single digit, about twice as fast as by the two digits
+    of a prime near 2^31.  The screen's prime, 2^31 - 1, is not among them.
+    """
+    for n in range((1 << 30) - 1, 1 << 29, -2):
         if _is_prime(n):
             yield n
 

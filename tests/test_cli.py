@@ -99,6 +99,17 @@ class TestDerange:
             main(["derange", "-5"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("text", ["1_0", "\u0663", " 5", "5 ", "5.0", ""])
+    def test_integer_outside_the_bfile_grammar_is_usage_error(self, capsys, text):
+        # int() takes the first four (10, 3, 5, 5); a b-file line does not.
+        with pytest.raises(SystemExit) as info:
+            main(["derange", text])
+        assert info.value.code == 2
+        assert f"invalid int value: {text!r}" in capsys.readouterr().err
+
+    def test_signed_integer_is_the_bfile_grammar(self, capsys):
+        assert run_cli(capsys, "derange", "+5")[1] == "44\n"
+
     def test_bfile_format(self, capsys):
         assert run_cli(capsys, "derange", "6", "--format", "bfile")[1] == "6 265\n"
 
@@ -120,6 +131,11 @@ class TestMulti:
     def test_nonpositive_rejected(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["multi", "0", "2"])
+        assert info.value.code == 2
+
+    def test_underscore_digits_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["multi", "2", "1_0"])
         assert info.value.code == 2
 
 
