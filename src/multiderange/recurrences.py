@@ -33,11 +33,14 @@ block is the order-r solution with the least-degree leading polynomial:
 that is the vector returned.  The fit lifts the vectors of the prime's free
 columns, up to its first free column of the top block, p-adically (Dixon)
 with one inverse of the pivot block B mod p, taken by forward elimination
-of [B | I] and a back-substitution, and rationally reconstructs them once
-a probe coordinate reconstructs to the same fraction at two consecutive
-powers of p.  The prime is accepted only if every vector is zero past its
-own column and passes the exact check below; then the vectors are the
-canonical ones (see _fit).  Any other outcome moves on to the next prime.
+of [B | I] and a back-substitution; each step updates the exact residuals
+of all pivot rows at once, from int64 products of limbs of the rows'
+powers of n with the step's digits.  The vectors are rationally
+reconstructed once a probe coordinate reconstructs to the same fraction
+at two consecutive powers of p.  The prime is accepted only if every
+vector is zero past its own column and passes the exact check below; then
+the vectors are the canonical ones (see _fit).  Any other outcome moves on
+to the next prime.
 
 One exact check accepts: a reconstructed vector is returned only as a
 recurrence of the candidate's order (nonzero top coefficient block) whose
@@ -458,32 +461,70 @@ def _lift(
     column c is 1 at c, 0 at every other free column, and solves the rows
     R over Q: B z = -A_R e_c.  Each step takes the next base-p digit of z
     from the exact residual, which is then updated and divided by p
-    exactly.  Row n of A times a vector is sum over j of z_j(n) * s(n+j),
-    with z_j the vector's shift-j polynomial, so a step costs r+1
-    big-by-small products per row.
+    exactly.
+
+    Row n of A times a vector is sum over j of z_j(n) * s(n+j), with z_j the
+    vector's shift-j polynomial.  A step's vector holds digits below p, so
+    the z_j(n) of every pivot row come from int64 products: each power n^e
+    is split once into limbs of w = _limb_width(d) bits, the lower ones in
+    [0, 2^w) and the top one signed (so negative n and n past int64 work),
+    and one matmul per limb plane takes its products with the step's
+    digits.  The limb products are recombined exactly as object arrays and
+    multiplied into the rows' terms, r+1 big-by-small products per row,
+    with no per-row Python loop.  _residual, the exact check of every
+    accepted vector, does not use this arithmetic, so an error in it could
+    only reject a prime.
     """
     import numpy as np
 
     n_cols = system.shape[1]
+    r = n_cols // (d + 1) - 1
     inverse = -_inverse_mod_p(system[np.ix_(pivot_rows, pivots)], p) % p
-    shifts = [s.offset + i for i in pivot_rows]
+    # reshape keeps the 2-D shapes when there are no pivot rows.
+    window = np.array(
+        [s.terms[i:i + r + 1] for i in pivot_rows], dtype=object
+    ).reshape(len(pivot_rows), r + 1)
+    powers = np.array(
+        [[(s.offset + i) ** e for e in range(d + 1)] for i in pivot_rows], dtype=object
+    ).reshape(len(pivot_rows), d + 1)
     vectors = [[int(col == c) for col in range(n_cols)] for c in free]
-    residuals = [[_residual(_as_recurrence(v, d), s, n) for n in shifts] for v in vectors]
+    # Column c holds n^e * s(n+j) with c = j*(d+1) + e.
+    residuals = [powers[:, c % (d + 1)] * window[:, c // (d + 1)] for c in free]
+    width = _limb_width(d)
+    bits = max((abs(x).bit_length() for x in powers.flat), default=0)
+    # Limbs 0..top: every |n^e| < 2^(width*(top+1)), so the top limb is in
+    # [-2^width, 2^width).
+    top = max(0, -(-bits // width) - 1)
+    mask = (1 << width) - 1
+    planes = np.array(
+        [(powers >> (width * k)) & mask for k in range(top)] + [powers >> (width * top)],
+        dtype=np.int64,
+    )
     modulus = 1
     while True:
-        for vector, residual in zip(vectors, residuals):
-            residue = np.array([x % p for x in residual], dtype=np.int64)
+        for i, vector in enumerate(vectors):
+            residue = (residuals[i] % p).astype(np.int64)
             # inverse @ residue by 16-bit halves of the residue: with fewer
             # than 2^15 pivots no int64 sum overflows.
             digits = (inverse @ (residue >> 16) % p * 65536 + inverse @ (residue & 65535)) % p
-            step = [0] * n_cols
+            step = np.zeros(n_cols, dtype=np.int64)
+            step[list(pivots)] = digits
             for col, digit in zip(pivots, digits.tolist()):
-                step[col] = digit
                 vector[col] += digit * modulus
-            rec = _as_recurrence(step, d)
-            residual[:] = [(x + _residual(rec, s, n)) // p for x, n in zip(residual, shifts)]
+            products = planes @ step.reshape(r + 1, d + 1).T
+            values = products[top].astype(object)
+            for k in range(top - 1, -1, -1):
+                values = (values << width) + products[k].astype(object)
+            residuals[i] = (residuals[i] + (values * window).sum(axis=1)) // p
         modulus *= p
         yield vectors, modulus
+
+
+def _limb_width(d: int) -> int:
+    """The limb width w of _lift's powers n^e, e <= d.  A limb is at most
+    2^w in magnitude and a digit is below p < 2^30, so a sum of d+1 of
+    their products is below (d+1) * 2^(w+30) < 2^62 in magnitude."""
+    return 62 - 30 - (d + 1).bit_length()
 
 
 def _system(s: SequenceSlice, r: int, d: int, p: int) -> np.ndarray:

@@ -556,6 +556,78 @@ def test_lifted_vectors_solve_the_pivot_rows():
             assert all(recurrences._residual(rec, s, i) % modulus == 0 for i in rows)
 
 
+def _horner_lift(s, d, p, system, pivots, pivot_rows, free):
+    """_lift with the exact residual update taken row by row, in Python
+    ints: each pivot row evaluates the step's r+1 coefficient polynomials
+    at n by Horner (Recurrence.coefficient, through _residual) and
+    multiplies them into its terms."""
+    n_cols = system.shape[1]
+    b = system[np.ix_(pivot_rows, pivots)]
+    inverse = (-recurrences._inverse_mod_p(b, p) % p).tolist()
+    shifts = [s.offset + i for i in pivot_rows]
+    vectors = [[int(col == c) for col in range(n_cols)] for c in free]
+    residuals = [
+        [recurrences._residual(recurrences._as_recurrence(v, d), s, n) for n in shifts]
+        for v in vectors
+    ]
+    modulus = 1
+    while True:
+        for vector, residual in zip(vectors, residuals):
+            residue = [x % p for x in residual]
+            step = [0] * n_cols
+            for col, row in zip(pivots, inverse):
+                step[col] = sum(a * x for a, x in zip(row, residue)) % p
+                vector[col] += step[col] * modulus
+            rec = recurrences._as_recurrence(step, d)
+            residual[:] = [
+                (x + recurrences._residual(rec, s, n)) // p for x, n in zip(residual, shifts)
+            ]
+        modulus *= p
+        yield vectors, modulus
+
+
+@pytest.mark.parametrize("offset", [0, -40, (1 << 63) - 10, 10**30])
+@pytest.mark.parametrize("d", [2, 9, 15])
+@pytest.mark.parametrize("kind", ["random", "no pivots"])
+def test_lift_steps_match_per_row_horner(offset, d, kind):
+    # Random terms with two rows fewer than columns leave two columns free;
+    # terms that are multiples of p leave every column free and no pivot
+    # row.  Degree 15 gives d+1 = 16 and the narrowest limbs of the three;
+    # offsets past int64 give many limbs, and a negative offset negative
+    # powers.
+    r, p = 2, next(recurrences._prime_stream())
+    n_cols = (r + 1) * (d + 1)
+    rng = random.Random(d * 7 + len(str(offset)))
+    terms = [rng.randrange(-(1 << 300), 1 << 300) for _ in range(n_cols - 2 + r)]
+    if kind == "no pivots":
+        terms = [p * t for t in terms]  # every entry is zero mod p
+    s = SequenceSlice(offset, tuple(terms))
+    order = [e * (r + 1) + j for j in range(r + 1) for e in range(d + 1)]
+    system = recurrences._system(s, r, d, p)[:, order]
+    pivots, rows = recurrences._echelon_mod_p(system.copy(), p)
+    assert len(pivots) == (0 if kind == "no pivots" else n_cols - 2)
+    free = [c for c in range(n_cols) if c not in pivots]
+    lifts = recurrences._lift(s, d, p, system, pivots, rows, free)
+    oracle = _horner_lift(s, d, p, system, pivots, rows, free)
+    for _, step, expected in zip(range(4), lifts, oracle):
+        assert step == expected
+
+
+def test_limb_products_stay_within_int64():
+    # At the largest fit prime every digit is p - 1, and every limb is at
+    # an extreme: 2^w - 1 (the mask, and the largest top limb) or -2^w (the
+    # most negative top limb).  Python ints give the exact sums.
+    p = next(recurrences._prime_stream())
+    sizes = set(range(1, 257)) | {(1 << k) + i for k in range(9, 17) for i in (-1, 0)}
+    for size in sorted(sizes):
+        width = recurrences._limb_width(size - 1)
+        extremes = [(1 << width) - 1, -(1 << width)]
+        plane = np.array([[x] * size for x in extremes], dtype=np.int64)
+        step = np.full(2 * size, p - 1, dtype=np.int64)
+        products = plane @ step.reshape(2, size).T
+        assert products.tolist() == [[x * (p - 1) * size] * 2 for x in extremes]
+
+
 def test_prime_stream_is_the_primes_below_2_to_the_30():
     # Below 2^30 a prime is one digit of a CPython int, so the fit's big-int
     # reductions mod it divide by a single digit.
