@@ -14,8 +14,10 @@ corpus was recorded, whose lifted vectors the fit then had to reject; the
 fit primes are now below 2^30, so these cases are unlucky only for that
 older stream, and tests/test_recurrences.py pins the current first fit
 prime with unlucky terms of its own.  unlucky_screen_prime is unlucky for
-the screen's prime, which then lets through candidates that the fit
-decides at its own primes.  The fit reduces every row of a candidate
+2^31 - 1, the screen's prime when the corpus was recorded, which then let
+through candidates that the fit decides at its own primes; the screen's
+prime is now below 2^27, so these cases are unlucky only for that older
+prime.  The fit reduces every row of a candidate
 itself: only the screen's pass or reject reaches it.
 
 Each case stores its input (terms, offset, caps) with the recurrence JSON
@@ -35,7 +37,7 @@ import sys
 
 from multiderange.counting import classic_derangement
 from multiderange.errors import InsufficientData, RecurrenceNotFound
-from multiderange.recurrences import _FIRST_PRIME, guess_recurrence, recurrence_to_json
+from multiderange.recurrences import guess_recurrence, recurrence_to_json
 from multiderange.sequences import SequenceSlice
 
 SEED = 20261018
@@ -111,8 +113,10 @@ def perturbed_tail(rng: random.Random, length: int) -> list[int]:
     return terms
 
 
-# The first and second fit primes when the corpus was recorded.
+# The first and second fit primes, and the screen's prime, when the corpus
+# was recorded.
 RECORDED_FIT_PRIMES = (2147483629, 2147483587)
+RECORDED_SCREEN_PRIME = 2147483647
 
 
 def unlucky_fit_prime(rng: random.Random, length: int) -> list[int]:
@@ -123,8 +127,8 @@ def unlucky_fit_prime(rng: random.Random, length: int) -> list[int]:
 
 
 def unlucky_screen_prime(rng: random.Random, length: int) -> list[int]:
-    """unlucky_terms for q the prime of the per-order screen."""
-    return unlucky_terms(rng, length, _FIRST_PRIME)
+    """unlucky_terms for q the screen's prime when the corpus was recorded."""
+    return unlucky_terms(rng, length, RECORDED_SCREEN_PRIME)
 
 
 def unlucky_terms(rng: random.Random, length: int, q: int) -> list[int]:

@@ -9,18 +9,21 @@ when its homogeneous system over all usable shifts is overdetermined by a
 fixed margin and has a solution of the candidate's order.
 
 Rank mod p never exceeds the rational rank, so a prime with full column
-rank proves a system has no solution.  All modular elimination goes
-through one kernel, forward elimination mod p (_echelon_mod_p), whose pivot
-columns are those of the reduced row echelon form.  A screen decides which
-candidates are fitted, in the degree-major column layout: column
-e*(r+1) + j holds n^e * s(n+j).  The rows of an (r, d) system depend only
-on r, so each (r, d) system is the leading (r+1)*(d+1)-column block of its
-order's system of the largest feasible degree, and the pivots of a leading
-block are the pivots of the whole system left of its boundary.  The first
-time the scan reaches order r, that largest system is reduced mod the
-screen's prime, once.  A candidate's rank there is the number of pivots
-left of its block boundary, and a candidate with full rank is rejected
-without a fit.
+rank proves a system has no solution, and so does full rank on a subset of
+its rows.  All modular elimination goes through one kernel, forward
+elimination mod p (_echelon_mod_p), whose pivot columns are those of the
+reduced row echelon form; it subtracts products of residues in [0, p) and
+reduces the trailing block only every _deferral(p) updates.  A screen
+decides which candidates are fitted, in the degree-major column layout:
+column e*(r+1) + j holds n^e * s(n+j).  The first time the scan reaches
+order r, the last columns + GUESS_MARGIN rows of one system of that order
+are reduced mod the screen's prime.  Each lower-degree system is a leading
+column block, whose pivots are those of the whole system left of its
+boundary, so every degree below that of the first free column is
+rejected without a fit.  An order-(r-1) relation padded with a zero top
+block solves the order-r rows, so order r is reduced only up to the
+degree at which order r-1 was passed; every degree above the reduced one
+is passed to its fit.
 
 One exact solver fits every other candidate.  It reduces the candidate's
 system over every row mod one prime of a descending stream of primes below
@@ -59,7 +62,6 @@ Guessed recurrences are empirical: they are verified, never certified.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from decimal import localcontext
@@ -88,10 +90,10 @@ GUESS_MARGIN = 10
 DEFAULT_MAX_ORDER = 12
 DEFAULT_MAX_DEGREE = 12
 
-# The prime of the per-order screen.  One reduction mod this prime per
-# order rejects most candidates of that order.
-# 2^31 - 1 is prime and its squares fit comfortably in int64.
-_FIRST_PRIME = (1 << 31) - 1
+# The prime of the per-order screen, the largest below 2^27: one CPython
+# digit, below the fit primes (2^29, 2^30), and small enough that the
+# elimination reduces its trailing block only every 512 updates.
+_SCREEN_PRIME = 134217689
 
 
 @dataclass(frozen=True)
@@ -139,10 +141,8 @@ def guess_recurrence(
     count order 1, degree 0 needs.  Raises RecurrenceNotFound, naming the
     caps, when the whole grid is exhausted.
 
-    The first time the scan reaches an order, that order's system of the
-    largest feasible degree is reduced mod _FIRST_PRIME, once, and its
-    pivot columns are kept.  A candidate whose leading column block has
-    full rank there is rejected without a fit.
+    Order r is screened once (_screen), up to the least degree that passed
+    at order r-1; its degrees below the least that passes are rejected.
     """
     if max_order < 1 or max_degree < 0:
         raise ValueError("search caps must allow order >= 1, degree >= 0")
@@ -158,17 +158,15 @@ def guess_recurrence(
     )
     if not feasible:
         raise InsufficientData(_terms_needed(1, 0), length)
-    # The big terms are reduced mod the first prime once, for every screen.
-    first = SequenceSlice(s.offset, tuple(t % _FIRST_PRIME for t in s.terms))
-    screens: dict[int, tuple[int, ...]] = {}
+    # The big terms are reduced mod the screen's prime once, for every screen.
+    residues = SequenceSlice(s.offset, tuple(t % _SCREEN_PRIME for t in s.terms))
+    passed: dict[int, int] = {}  # order -> the least degree its screen passes
     for r, d in feasible:
-        if r not in screens:
+        if r not in passed:
             top_degree = max(d_top for r_top, d_top in feasible if r_top == r)
-            system = _system(first, r, top_degree, _FIRST_PRIME)
-            screens[r] = _echelon_mod_p(system, _FIRST_PRIME)[0]
-        n_cols = (r + 1) * (d + 1)
-        if bisect_left(screens[r], n_cols) == n_cols:
-            continue  # full column rank mod the first prime: no solution
+            passed[r] = _screen(residues, r, min(top_degree, passed.get(r - 1, top_degree)))
+        if d < passed[r]:
+            continue  # full column rank mod the screen's prime: no solution
         rec = _fit(s, r, d)
         if rec is not None:
             return rec
@@ -354,6 +352,20 @@ def _residual(rec: Recurrence, s: SequenceSlice, n: int) -> int:
     )
 
 
+def _screen(residues: SequenceSlice, r: int, d: int) -> int:
+    """The least degree of order r that the screen passes, at most d + 1.
+
+    The last columns + GUESS_MARGIN rows of the (r, d) system of the
+    residues are reduced mod _SCREEN_PRIME.  Every column left of the first
+    free column is a pivot, so each candidate of a lower degree has full
+    column rank on these rows, and over all of them.
+    """
+    system = _system(residues, r, d, _SCREEN_PRIME)
+    pivots = _echelon_mod_p(system[-(system.shape[1] + GUESS_MARGIN):], _SCREEN_PRIME)[0]
+    free = next((i for i, c in enumerate(pivots) if c != i), len(pivots))
+    return free // (r + 1)
+
+
 def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
     """The order-r recurrence of the (r, d) system A, or None if it has none.
 
@@ -397,15 +409,18 @@ def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
     exact check (from an unlucky prime, or an attempt made too early),
     moves on to the next prime.  Only finitely many primes are unlucky.
 
-    The stream holds the primes below 2^30, so a fit never reduces mod the
-    screen's prime.  Terms unlucky for that prime pass the screen wherever
-    their reduction mod it has a relation, and a fit at that prime would
-    lift each such candidate until the exact check fails.  On the first 80
-    terms of the k = 3 family plus (2^31 - 1) * g(n), g random in 1..999,
-    the guess makes 32 fits and rejects each at its first prime without a
-    lift, in 0.07 s; starting the stream at _FIRST_PRIME, one (5, 4) fit
-    takes 319 lift steps and 0.9 s, and the whole guess took 460 s when it
-    was last measured, with the fit primes still below 2^31 - 1.
+    A prime is also rejected as soon as a lifted vector shows a nonzero
+    residual mod p^k on one of the last 4 non-pivot rows, checked after
+    steps k = 2, 4, 8, ... (mod p those rows are combinations of the pivot
+    rows).  The vector is z mod p^k, z the rational solution of the pivot
+    rows with its free values, and p is accepted only if every such z is
+    exact, with a zero residual on every row.  Without this check, an
+    unlucky p for a candidate with no solution lifts to the height of z.
+
+    The stream holds the primes between 2^29 and 2^30, so a fit never
+    reduces mod the screen's prime: terms unlucky for it pass the screen
+    wherever their reduction has a relation, and every such fit would lift
+    at that prime before rejecting it.
     """
     n_cols = (r + 1) * (d + 1)
     # Column j*(d+1) + e of the fit is column e*(r+1) + j of _system.
@@ -418,8 +433,16 @@ def _fit(s: SequenceSlice, r: int, d: int) -> Recurrence | None:
         free = [c for c in range(n_cols) if c not in pivots]
         last = next((i for i, c in enumerate(free) if c >= r * (d + 1)), len(free) - 1)
         free = free[:last + 1]
+        rows = set(pivot_rows)
+        checked = [i for i in range(len(s.terms) - r) if i not in rows][-4:]
         probe, settled = (0, 0), None
-        for vectors, modulus in _lift(s, d, p, system, pivots, pivot_rows, free):
+        lift = _lift(s, d, p, system, pivots, pivot_rows, free)
+        for step, (vectors, modulus) in enumerate(lift, 1):
+            if step > 1 and step & (step - 1) == 0 and any(
+                _residual(_as_recurrence(vector, d), s, s.offset + i) % modulus
+                for vector in vectors for i in checked
+            ):
+                break  # p is rejected: some lifted vector is not exact
             value = _rational_reconstruct(vectors[probe[0]][probe[1]], modulus)
             stable = value is not None and value == settled
             settled = value
@@ -590,7 +613,7 @@ def _echelon_mod_p(m: np.ndarray, p: int) -> tuple[tuple[int, ...], tuple[int, .
         if pending == interval:
             below %= p
             pending = 0
-        below -= np.multiply.outer(_balanced(m[rank + 1:, col], p), _balanced(row[1:], p))
+        below -= np.multiply.outer(m[rank + 1:, col], row[1:])
         pending += 1
         m[rank + 1:, col] = 0
         pivot_cols.append(col)
@@ -622,7 +645,7 @@ def _inverse_mod_p(b: np.ndarray, p: int) -> np.ndarray:
             inverse[:i] %= p
             pending = 0
         inverse[i] %= p
-        inverse[:i] -= np.multiply.outer(_balanced(m[:i, i], p), _balanced(inverse[i], p))
+        inverse[:i] -= np.multiply.outer(m[:i, i], inverse[i])
         pending += 1
     inverse %= p
     return inverse
@@ -630,15 +653,10 @@ def _inverse_mod_p(b: np.ndarray, p: int) -> np.ndarray:
 
 def _deferral(p: int) -> int:
     """How many updates an int64 entry in [0, p) can take before it must be
-    reduced mod p: each update is a product of two balanced residues, of
-    magnitude at most (p//2)^2, and the entry stays below 2^63 in
-    magnitude.  8 at p = 2^31 - 1, at least 32 below 2^30."""
-    return ((1 << 63) - p) // (p // 2) ** 2
-
-
-def _balanced(x: np.ndarray, p: int) -> np.ndarray:
-    """x in [0, p) as balanced residues mod p, in [-(p//2), p//2]."""
-    return x - p * (x > p // 2)
+    reduced mod p: each update subtracts a product of two residues in
+    [0, p), at most (p-1)^2, and the entry stays above -2^63.  512 at the
+    screen's prime, 8 at the fit primes."""
+    return ((1 << 63) - p) // (p - 1) ** 2
 
 
 def _reconstruct_vector(combined: list[int], modulus: int) -> list[tuple[int, int]]:
@@ -698,7 +716,8 @@ def _prime_stream():
     Each is one 30-bit digit of a CPython int, so the fit's big-int
     reductions mod p (the terms in _system, the residuals in _lift) are
     divisions by a single digit, about twice as fast as by the two digits
-    of a prime near 2^31.  The screen's prime, 2^31 - 1, is not among them.
+    of a prime near 2^31.  The screen's prime, below 2^27, is not among
+    them.
     """
     for n in range((1 << 30) - 1, 1 << 29, -2):
         if _is_prime(n):

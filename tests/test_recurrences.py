@@ -143,7 +143,7 @@ class TestGuess:
             guess_recurrence(SequenceSlice(0, (1,) * 20), 0, 3)
 
     def test_unlucky_first_prime_with_worse_pivot_shape(self, guess_trace, monkeypatch):
-        # Mod 2^31 - 1 (the screen's prime) the terms reduce to 2^n, whose
+        # Mod the screen's prime m the terms reduce to 2^n, whose
         # (1, 1) system has rank 2 where the rational one has rank 3, and
         # whose (1, 0) system has rank 1 where the rational one has full
         # rank, so the screen passes both.  A fit never reduces mod the
@@ -152,15 +152,13 @@ class TestGuess:
         # which solves the prime's pivot rows but not the others: the exact
         # check rejects the prime.  The next prime shows (1, 0) full rank
         # and accepts (1, 1).
-        m = recurrences._FIRST_PRIME
+        m = recurrences._SCREEN_PRIME
         stream = recurrences._prime_stream
         q = next(stream())
         monkeypatch.setattr(recurrences, "_prime_stream", lambda: itertools.chain([m], stream()))
         terms = tuple(2**n * (1 + m * n) for n in range(30))
         rec = guess_recurrence(SequenceSlice(0, terms), 2, 2)
-        assert json.loads(recurrence_to_json(rec))["coeff_polys"] == [
-            ["-4294967296", "-4294967294"], ["1", "2147483647"]
-        ]
+        assert rec.coeff_polys == ((-2 - 2 * m, -2 * m), (1, m))
         first_fit, last_fit = guess_trace["fits"]
         assert first_fit["candidate"] == (1, 0)
         assert first_fit["primes"] == [(m, (0,)), (q, (0, 1))]
@@ -204,17 +202,16 @@ class TestGuess:
         assert fit["primes"] == [(q, (1,)), (q_next, (0,))]
 
     def test_fits_never_use_the_screens_prime(self, guess_trace, monkeypatch):
-        # Mod 2^31 - 1 the terms are the k = 3 family, which has a short
-        # recurrence, so the screen passes 32 candidates that have no
+        # Mod the screen's prime the terms are the k = 3 family, which has a
+        # short recurrence, so the screen passes 32 candidates that have no
         # rational solution.  Each fit shows full rank at its first prime
         # and never lifts.  A fit that started at the screen's prime would
-        # lift each of them hundreds of steps (about 460 s in all), so an
-        # entered _lift fails the test at once.
+        # lift each of them, so an entered _lift fails the test at once.
         def no_lift(*args):
             raise AssertionError("a fit lifted")
 
         monkeypatch.setattr(recurrences, "_lift", no_lift)
-        m = recurrences._FIRST_PRIME
+        m = recurrences._SCREEN_PRIME
         rng = random.Random(1)
         family = uniform_prefix("fixed_k", 3, 80)
         terms = tuple(t + m * rng.randint(1, 999) for t in family)
@@ -227,6 +224,40 @@ class TestGuess:
         for fit in fits:
             r, d = fit["candidate"]
             assert fit["primes"] == [(q, tuple(range((r + 1) * (d + 1))))]
+
+    def test_unlucky_fit_prime_is_rejected_after_two_lift_steps(self, guess_trace, monkeypatch):
+        # Mod the screen's prime and mod the first fit prime q the terms are
+        # the k = 3 family, so the same 32 candidates reach their fits and
+        # each lifts at q, where none has a rational solution.  The lifted
+        # vectors fail a non-pivot row mod q^2, which rejects q after two
+        # steps; the next prime shows full rank.  Lifting each to the
+        # height of its pivot rows' solution took 416 s in all.
+        lift, steps = recurrences._lift, []
+
+        def counted_lift(*args):
+            steps.append(0)
+            for item in lift(*args):
+                steps[-1] += 1
+                assert steps[-1] <= 8, "a fit lifted past 8 steps"
+                yield item
+
+        monkeypatch.setattr(recurrences, "_lift", counted_lift)
+        m = recurrences._SCREEN_PRIME
+        stream = recurrences._prime_stream()
+        q, q_next = next(stream), next(stream)
+        rng = random.Random(1)
+        family = uniform_prefix("fixed_k", 3, 80)
+        terms = tuple(t + m * q * rng.randint(1, 999) for t in family)
+        with pytest.raises(RecurrenceNotFound):
+            guess_recurrence(SequenceSlice(0, terms), 12, 12)
+        fits = guess_trace["fits"]
+        assert len(fits) == len(steps) == 32
+        assert set(steps) == {2}
+        for fit in fits:
+            r, d = fit["candidate"]
+            [(first, _), last] = fit["primes"]
+            assert first == q
+            assert last == (q_next, tuple(range((r + 1) * (d + 1))))
 
     def test_caps_past_the_term_count_are_not_enumerated(self, monkeypatch):
         # No order or degree past the 40 terms is feasible, so caps of 2000
@@ -350,7 +381,7 @@ class TestPinnedGuesses:
             SequenceSlice(0, tuple(terms)), DEFAULT_MAX_ORDER, DEFAULT_MAX_DEGREE
         )
         assert rec.order == 6
-        first = recurrences._FIRST_PRIME
+        first = recurrences._SCREEN_PRIME
         assert [p for p, _, _ in guess_trace["screens"]] == [first] * DEFAULT_MAX_ORDER
         # One fit, which reduces all of its rows once, mod the stream's first
         # prime, and is accepted there.
@@ -368,8 +399,9 @@ class TestPinnedGuesses:
 # before the one-layout guesser went in; the terms unlucky for a fit prime
 # and for the screen's prime were each recorded before the change they
 # test.  The fit-prime cases are unlucky only for the older stream below
-# 2^31 - 1 (2147483629, 2147483587); the current first fit prime has its
-# own unlucky terms in TestGuess.  Some accepted candidates there have a
+# 2^31 - 1 (2147483629, 2147483587), and the screen-prime cases only for
+# the older screen's prime 2^31 - 1; the current primes have their own
+# unlucky terms in TestGuess.  Some accepted candidates there have a
 # nullspace of dimension 2, where the basis order picks the output.
 GUESS_CORPUS = json.loads(
     (Path(__file__).parent / "data" / "guess_corpus.json").read_text()
@@ -416,7 +448,7 @@ class TestOrderScreen:
     )
     def test_block_rref_is_candidate_rref(self, terms, offset):
         s = SequenceSlice(offset, tuple(terms))
-        for p in (recurrences._FIRST_PRIME, next(recurrences._prime_stream())):
+        for p in (recurrences._SCREEN_PRIME, next(recurrences._prime_stream())):
             for r in range(1, 5):
                 top = recurrences._system(s, r, 3, p)
                 top_pivots, top_rows = recurrences._echelon_mod_p(top, p)
@@ -430,6 +462,51 @@ class TestOrderScreen:
                     assert all(c >= boundary for c in top_pivots[rank:])
                     np.testing.assert_array_equal(top[:rank, :boundary], block[:rank])
                     assert not block[rank:].any()
+
+
+@given(
+    terms=st.one_of(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=12, max_size=40),
+        st.builds(
+            lambda a, b, c, length: [a * b**n + c * n * n for n in range(length)],
+            st.integers(-5, 5), st.integers(-3, 3), st.integers(-5, 5),
+            st.integers(min_value=12, max_value=40),
+        ),
+        # A relation mod the screen's prime that the terms do not have.
+        st.builds(
+            lambda b, noise: [b**n + recurrences._SCREEN_PRIME * g for n, g in enumerate(noise)],
+            st.integers(-3, 3),
+            st.lists(st.integers(min_value=0, max_value=3), min_size=12, max_size=40),
+        ),
+    ),
+    offset=st.integers(min_value=0, max_value=5),
+    max_order=st.integers(min_value=1, max_value=4),
+    max_degree=st.integers(min_value=0, max_value=3),
+)
+def test_screen_rejects_only_candidates_of_full_rank(terms, offset, max_order, max_degree):
+    # With every fit failing, the scan reaches every feasible candidate, and
+    # each one it does not fit must have full column rank mod the screen's
+    # prime over every row of its own (r, d) system.
+    fitted = []
+
+    def failing_fit(s, r, d):
+        fitted.append((r, d))
+
+    s = SequenceSlice(offset, tuple(terms))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recurrences, "_fit", failing_fit)
+        with pytest.raises((InsufficientData, RecurrenceNotFound)):
+            guess_recurrence(s, max_order, max_degree)
+    for r in range(1, max_order + 1):
+        for d in range(max_degree + 1):
+            if len(terms) < recurrences._terms_needed(r, d) or (r, d) in fitted:
+                continue
+            rows = [
+                [n**e * s.term(n + j) for e in range(d + 1) for j in range(r + 1)]
+                for n in range(offset, s.end - r)
+            ]
+            n_cols = (r + 1) * (d + 1)
+            assert len(_reference_pivots(rows, n_cols, recurrences._SCREEN_PRIME)) == n_cols
 
 
 def _reference_pivots(rows, n_cols, p):
@@ -494,14 +571,18 @@ def _assert_inverse_mod(b, p):
     inverse = recurrences._inverse_mod_p(np.array(b, dtype=np.int64).reshape(len(b), len(b)), p)
     assert inverse.shape == (len(b), len(b))
     assert ((0 <= inverse) & (inverse < p)).all()
-    # Python ints: a product of two entries near 2^31 overflows int64 sums.
-    product = _product_rows(b, inverse.tolist())
-    assert [[x % p for x in row] for row in product] == [
-        [int(i == j) for j in range(len(b))] for i in range(len(b))
-    ]
+    # Python ints, as each row of B times the rows of B^-1 (zeros skipped,
+    # so a sparse B is cheap): int64 sums of such products overflow.
+    rows = inverse.tolist()
+    for i, row in enumerate(b):
+        product = [0] * len(b)
+        for a, other in zip(row, rows):
+            if a:
+                product = [x + a * y for x, y in zip(product, other)]
+        assert [x % p for x in product] == [int(i == j) for j in range(len(b))]
 
 
-@given(data=st.data(), p=st.sampled_from([5, recurrences._FIRST_PRIME]))
+@given(data=st.data(), p=st.sampled_from([5, recurrences._SCREEN_PRIME]))
 def test_inverse_mod_p(data, p):
     _assert_inverse_mod(data.draw(_invertible_mod(p)), p)
 
@@ -519,7 +600,7 @@ def test_inverse_of_the_k6_pivot_block():
 
 @given(
     rows=st.integers(min_value=1, max_value=7).flatmap(_small_systems),
-    p=st.sampled_from([5, recurrences._FIRST_PRIME]),
+    p=st.sampled_from([5, recurrences._SCREEN_PRIME]),
 )
 def test_echelon_pivots_and_pivot_rows(rows, p):
     m = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
@@ -677,38 +758,37 @@ def _reference_echelon(rows, p):
 
 def _deferral_worst_case(p, n_pivots, n_rows, n_cols):
     """Rows whose first n_pivots columns are eliminated without a swap,
-    each update adding (p//2)^2 to every entry of the trailing block.
+    each update subtracting (p-1)^2 from every entry of the trailing block.
 
     Row i < n_pivots is 1 at column i, 0 in the other leading columns and
-    p//2 + 1 (balanced: -(p//2)) past them.  Every later row is p//2 in the
-    leading columns, which never change, so every update there is
-    -(p//2) * (p//2); past them its entries cycle through p - 1, 0, 1,
-    p//2 and p//2 + 1, so that the trailing block has rank 5 and a wrong
-    entry shows in its pivot rows.  An entry starting at p - 1 reaches the
-    int64 limit after _deferral(p) updates."""
-    half = p // 2
-    cycle = (p - 1, 0, 1, half, half + 1)
+    p - 1 past them.  Every later row is p - 1 in the leading columns, which
+    never change, so every update there is (p-1) * (p-1); past them its
+    entries cycle through p - 1, 0, 1, 2 and p - 2, so that the trailing
+    block has rank 5 and a wrong entry shows in its pivot rows."""
+    cycle = (p - 1, 0, 1, 2, p - 2)
     rows = [
-        [int(j == i) for j in range(n_pivots)] + [half + 1] * (n_cols - n_pivots)
+        [int(j == i) for j in range(n_pivots)] + [p - 1] * (n_cols - n_pivots)
         for i in range(n_pivots)
     ]
     rows += [
-        [half] * n_pivots + [cycle[(i + 2 * j) % 5] for j in range(n_cols - n_pivots)]
+        [p - 1] * n_pivots + [cycle[(i + 2 * j) % 5] for j in range(n_cols - n_pivots)]
         for i in range(n_rows - n_pivots)
     ]
     return rows
 
 
-@pytest.mark.parametrize("p", [recurrences._FIRST_PRIME, next(recurrences._prime_stream())])
+@pytest.mark.parametrize("p", [recurrences._SCREEN_PRIME, next(recurrences._prime_stream())])
 def test_deferred_reduction_stays_within_int64(p):
-    # 72 leading pivots run several deferral rounds at either prime (8
-    # updates a round at 2^31 - 1, 32 below 2^30), and rounds twice as long
-    # would overflow on the worst case.
-    half = p // 2
+    # size pivots run past one deferral round (512 updates at the screen's
+    # prime, several rounds of 8 at the fit primes), and one update more in
+    # a round would take any entry in [0, p) below -2^63 on the worst case.
+    interval = recurrences._deferral(p)
+    size = max(72, interval + 8)
+    assert (interval + 1) * (p - 1) ** 2 >= 2**63 + p
     rng = random.Random(p)
-    values = (0, 1, half, half + 1, p - 1)
+    values = (0, 1, 2, p - 2, p - 1)
     cases = [
-        _deferral_worst_case(p, 72, 80, 96),
+        _deferral_worst_case(p, size, size + 8, size + 24),
         [[rng.choice(values) for _ in range(64)] for _ in range(60)],
         [[rng.choice(values) for _ in range(48)] for _ in range(70)],
     ]
@@ -720,13 +800,14 @@ def test_deferred_reduction_stays_within_int64(p):
     n = 72
     _assert_inverse_mod([[1 if i == j else p - 1 for j in range(n)] for i in range(n)], p)
     # Unit upper triangular, so the elimination leaves [B | I] as it is:
-    # row 0 is p//2 past its pivot, and every row i between 0 and n - 1 is
-    # p//2 at column n - 1, which makes row i of B^-1 -(p//2) there.  Each
-    # back-substitution step then adds (p//2)^2 to entry (0, n - 1).
+    # row 0 is p - 1 past its pivot, and every row i between 0 and n - 1 is
+    # 1 at column n - 1, which makes row i of B^-1 p - 1 there.  Each
+    # back-substitution step then subtracts (p-1)^2 from entry (0, n - 1).
+    n = size
     b = [[int(i == j) for j in range(n)] for i in range(n)]
-    b[0][1:] = [half] * (n - 1)
+    b[0][1:] = [p - 1] * (n - 1)
     for i in range(1, n - 1):
-        b[i][n - 1] = half
+        b[i][n - 1] = 1
     _assert_inverse_mod(b, p)
 
 
