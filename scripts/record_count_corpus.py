@@ -2,14 +2,16 @@
 """Record multiset derangement counts on shapes on both sides of the
 counting dispatch rule.
 
-`multiset_derangement` takes one of two routes to the product Q of the
-scaled Laguerre factors: a coefficient recurrence when few distinct
-multiplicities repeat many times, and a balanced product tree otherwise.
-The shapes here sit on both sides of that rule and on its edges: the deck,
-500 fours, a thousand fours, (1..10) x 20, [40] x 8 and [10] x 8; the sum
-of distinct multiplicities at 63 and 64; the total at 8 times that sum
-and one below it; and single groups of 7 and 8 copies for several
-multiplicities under 64.
+`multiset_derangement` takes one of three routes to the product Q of the
+scaled Laguerre factors: one packed big-integer product when that integer
+has at most 2^16 bits, and past that a coefficient recurrence when few
+distinct multiplicities repeat many times, and a balanced product tree
+otherwise.  The shapes here sit on both sides of that rule and on its
+edges: the deck, 500 fours, a thousand fours, (1..10) x 20, [40] x 8 and
+[10] x 8; the sum of distinct multiplicities at 63 and 64; the total at 8
+times that sum and one below it; single groups of 7 and 8 copies for
+several multiplicities under 64; and shapes just inside and just past the
+packed limit.
 
 Each case stores its grouping, as [multiplicity, copies] pairs, with the
 count's decimal text.  The data is meant to be recorded once, from a
@@ -53,6 +55,21 @@ CASES: list[tuple[str, list[list[int]]]] = [
     ("r63_q504", [[31, 8], [32, 8]]),
 ]
 CASES += [(f"k{k}_x{n}", [[k, n]]) for k in SINGLE_GROUP_K for n in (7, 8)]
+# Just inside and just past the packed limit: exactly 2^16 bits and one
+# slot more, the last threes and fours inside and the first past, and a
+# pair at 8 times the sum of distinct multiplicities on each side.
+CASES += [
+    ("six_x16", [[6, 16]]),
+    ("packed_at_limit", [[1, 3], [31, 4]]),
+    ("packed_past_limit", [[1, 4], [31, 4]]),
+    ("k3_x64", [[3, 64]]),
+    ("k3_x65", [[3, 65]]),
+    ("k4_x45", [[4, 45]]),
+    ("k4_x46", [[4, 46]]),
+    ("r19_q152", [[9, 8], [10, 8]]),
+    ("r21_q167", [[10, 9], [11, 7]]),
+    ("r21_q168", [[10, 8], [11, 8]]),
+]
 
 
 def main() -> None:

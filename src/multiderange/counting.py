@@ -20,12 +20,14 @@ Three routes to the same count:
 The two bounded methods exist to cross-validate the first, so their bounds
 are plain keyword arguments that tests can lift.
 
-The production path builds Q one of two ways, and one rule on the grouped
-multiplicities picks between them (see _RECURRENCE_MAX_DEG_R).  When a few
-distinct multiplicities repeat many times, Q's coefficients come from a
-first-order recurrence that needs only small-by-big multiplies and exact
-divisions; otherwise the factors are multiplied over `polys.int_product`'s
-balanced tree.
+The production path builds Q one of three ways, and one rule on the grouped
+multiplicities picks between them (see _PACKED_MAX_BITS).  A small Q is
+read off a single big integer: each distinct factor evaluated at 256^w,
+raised to its count and multiplied (Kronecker substitution in CPython
+ints).  Above that size, when a few distinct multiplicities repeat many
+times, Q's coefficients come from a first-order recurrence that needs only
+small-by-big multiplies and exact divisions; otherwise the factors are
+multiplied over `polys.int_product`'s balanced tree.
 """
 from __future__ import annotations
 
@@ -130,12 +132,31 @@ def uniform_count(n: int, k: int) -> int:
     return _grouped_count({k: n})
 
 
-# Q = prod (a! * L_a)^c_a goes through the coefficient recurrence when
+# Q = prod (a! * L_a)^c_a is packed into one integer when that integer,
+# (deg Q + 1) slots of w bytes (see _packed_slot_bytes), has at most 2^16
+# bits.  Small products are a few C-level multiplies against the Python
+# loops of the other two routes; large ones lose to them, since CPython's
+# multiply is Karatsuba.  The limit sits between the crossovers
+# with the recurrence (45-55k bits) and with the tree (~100k bits).
+# Measured in-process, best of 5 or 7, Q only, as the other route's time
+# over the packed time (bit-equal every time), on seeded groupings of
+# multiplicities 1-10:
+#   against the recurrence: 20-55k bits (deg Q 96-150) 1.04-2.3, 56-65k
+#     bits 0.75-0.96, 66-200k bits (deg Q 175-320) 0.22-0.8; single
+#     groups of 2s, 3s, 4s or 6s 1.1-4.4 up to 50k bits, 0.62-0.94 from
+#     45k bits;
+#   against the tree: 28-65k bits (deg Q 90-147) 1.1-1.75, 65-110k bits
+#     0.94-1.6, 120-200k bits 0.6-1.27;
+#   the deck {4: 13} (5.5k bits) 0.026 vs 0.089 ms through the
+#   recurrence.  Every small_queries shape (at most 16 sixes, 21.7k bits)
+#   is packed.
+# Above the limit, Q goes through the coefficient recurrence when
 # R = prod a! * L_a over the distinct a has degree below 64 and Q's degree
 # is at least 8 times R's; everything else goes through the product tree.
 # The recurrence makes deg Q * deg R small-by-big multiplies, the tree a few
 # big-by-big ones.  Measured in-process, best of 3, Q and its moment, tree
-# vs recurrence (bit-equal every time):
+# vs recurrence (bit-equal every time), before the packed route went in;
+# [5] x 8, [5] x 4 and the seeded mix now take that route:
 #   taken by the recurrence: 500 fours 0.44 vs 0.018 s, 1000 fours 2.2 vs
 #     0.048 s, (1..10) x 20 0.25 vs 0.066 s, [63] x 8 0.071 vs 0.052 s,
 #     [40] x 8 0.012 vs 0.0073 s, [5] x 8 0.19 vs 0.17 ms;
@@ -143,6 +164,7 @@ def uniform_count(n: int, k: int) -> int:
 #     [63] x 4 10.6 vs 11.2 ms, [5] x 4 0.04 vs 0.10 ms, and a seeded mix
 #     of 700 instances of 2-16 symbols with multiplicities 1-6 (none with
 #     deg Q >= 6 deg R) 0.076 vs 0.27 s.
+_PACKED_MAX_BITS = 1 << 16
 _RECURRENCE_MAX_DEG_R = 64
 _RECURRENCE_MIN_REPEAT = 8
 
@@ -152,12 +174,50 @@ def _grouped_count(groups: dict[int, int]) -> int:
     multiplicity a, every a and groups[a] >= 1."""
     deg_r = sum(groups)
     deg_q = sum(a * c for a, c in groups.items())
-    if deg_r < _RECURRENCE_MAX_DEG_R and deg_q >= _RECURRENCE_MIN_REPEAT * deg_r:
+    # Every slot has at least 8 bits, so a longer Q skips forming the bound.
+    if deg_q < _PACKED_MAX_BITS // 8 and (
+        (deg_q + 1) * 8 * _packed_slot_bytes(groups) <= _PACKED_MAX_BITS
+    ):
+        q = _product_packed(groups)
+    elif deg_r < _RECURRENCE_MAX_DEG_R and deg_q >= _RECURRENCE_MIN_REPEAT * deg_r:
         q = _product_recurrence(groups)
     else:
         q = _product_tree(groups)
     scale = prod(factorial(a) ** c for a, c in groups.items())
     return _signed_count(integer_moment(q), deg_q, scale)
+
+
+def _packed_slot_bytes(groups: dict[int, int]) -> int:
+    """Smallest w with 256^w > 2B, where B = prod (sum |coefficients of
+    a! * L_a|)^c_a bounds every |q_m|."""
+    bound = prod(sum(map(abs, scaled_laguerre(a))) ** c for a, c in groups.items())
+    return bound.bit_length() // 8 + 1
+
+
+def _product_packed(groups: dict[int, int]) -> list[int]:
+    """Q's coefficients from one big integer, Q(256^w) = prod P_a(256^w)^c_a.
+
+    Each distinct P_a = a! * L_a is evaluated exactly at 256^w, signed
+    coefficients and all, so any integer factors give their exact product.
+    Every |q_m| is below half of 256^w, so adding half to each slot puts
+    every slot in [0, 256^w): one to_bytes reads them all, and slot m minus
+    half is q_m, with no carry to propagate.
+    """
+    width = _packed_slot_bytes(groups)
+    shift = 8 * width
+    value = 1
+    for a, c in groups.items():
+        packed = 0
+        for coeff in reversed(scaled_laguerre(a)):
+            packed = (packed << shift) + coeff
+        value *= packed**c
+    n = sum(a * c for a, c in groups.items()) + 1
+    half = 1 << (shift - 1)
+    value += int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    raw = value.to_bytes(n * width, "little")
+    return [
+        int.from_bytes(raw[i : i + width], "little") - half for i in range(0, n * width, width)
+    ]
 
 
 def _product_tree(groups: dict[int, int]) -> Sequence[int]:

@@ -252,38 +252,66 @@ class TestIntegerCore:
         moment = exp_moment(product([laguerre(a) for a in m]))
         assert multiset_derangement(tuple(m)).value == (-1) ** sum(m) * moment
 
+    # The tree instances are past the packed limit: deg Q 131 and 129 with
+    # deg R 35 and 32.
     def test_corrupted_factor_is_not_divisible(self, monkeypatch):
-        def corrupted(a):
-            f = scaled_laguerre(a)
-            return (f[0] + 1,) + f[1:] if a == 3 else f
+        _corrupt_threes(monkeypatch)
+        _only_route(monkeypatch, "tree")
+        with pytest.raises(InternalInconsistency, match="not divisible"):
+            multiset_derangement((3,) + (1,) * 4 + (31,) * 4)
 
-        monkeypatch.setattr(counting, "scaled_laguerre", corrupted)
+    def test_corrupted_factor_is_not_divisible_when_packed(self, monkeypatch):
+        _corrupt_threes(monkeypatch)
+        _only_route(monkeypatch, "packed")
         with pytest.raises(InternalInconsistency, match="not divisible"):
             multiset_derangement((3, 2, 2))
 
     def test_corrupted_factor_breaks_the_recurrence(self, monkeypatch):
-        def corrupted(a):
-            f = scaled_laguerre(a)
-            return (f[0] + 1,) + f[1:] if a == 3 else f
-
-        def refuse(groups):
-            raise RuntimeError("product tree reached")
-
-        monkeypatch.setattr(counting, "scaled_laguerre", corrupted)
-        monkeypatch.setattr(counting, "_product_tree", refuse)
+        _corrupt_threes(monkeypatch)
+        _only_route(monkeypatch, "recurrence")
         with pytest.raises(InternalInconsistency, match="not divisible"):
-            multiset_derangement((3,) * 30)
+            multiset_derangement((3,) * 100)
         with pytest.raises(InternalInconsistency, match="not divisible"):
-            uniform_count(30, 3)
+            uniform_count(100, 3)
 
     def test_corrupted_factor_flips_the_sign(self, monkeypatch):
-        monkeypatch.setattr(
-            counting, "scaled_laguerre", lambda a: tuple(-c for c in scaled_laguerre(a))
-        )
+        _negate_factors(monkeypatch)
+        _only_route(monkeypatch, "tree")
         with pytest.raises(InternalInconsistency, match="wrong sign"):
-            multiset_derangement((3, 3, 3))  # three negated factors
+            multiset_derangement((1,) * 5 + (31,) * 4)  # nine negated factors
         with pytest.raises(InternalInconsistency, match="wrong sign"):
             uniform_fixed_k_prefix(3, 4)  # (-1)^3 flips F(3) = 56
+
+    def test_corrupted_factor_flips_the_sign_when_packed(self, monkeypatch):
+        _negate_factors(monkeypatch)
+        _only_route(monkeypatch, "packed")
+        with pytest.raises(InternalInconsistency, match="wrong sign"):
+            multiset_derangement((3, 3, 3))  # three negated factors
+
+
+def _corrupt_threes(monkeypatch):
+    """Add 1 to the constant term of 3! * L_3."""
+    def corrupted(a):
+        f = scaled_laguerre(a)
+        return (f[0] + 1,) + f[1:] if a == 3 else f
+
+    monkeypatch.setattr(counting, "scaled_laguerre", corrupted)
+
+
+def _negate_factors(monkeypatch):
+    monkeypatch.setattr(
+        counting, "scaled_laguerre", lambda a: tuple(-c for c in scaled_laguerre(a))
+    )
+
+
+def _only_route(monkeypatch, route):
+    """Make every product route but `route` raise when reached."""
+    for name in ("packed", "recurrence", "tree"):
+        if name != route:
+            def refuse(groups, name=name):
+                raise RuntimeError(f"{name} route reached")
+
+            monkeypatch.setattr(counting, f"_product_{name}", refuse)
 
 
 # Groupings {multiplicity: copies}: 1-6 distinct multiplicities, up to 40
@@ -296,6 +324,10 @@ groupings = st.dictionaries(
 )
 
 
+def _packed_bits(groups):
+    return (sum(a * c for a, c in groups.items()) + 1) * 8 * counting._packed_slot_bytes(groups)
+
+
 class TestProductRoutes:
     @given(groupings)
     @example({63: 2})  # deg R at the cap
@@ -304,24 +336,50 @@ class TestProductRoutes:
     def test_recurrence_equals_product_tree(self, groups):
         assert counting._product_recurrence(groups) == list(counting._product_tree(groups))
 
+    @given(groupings)
+    @example({})
+    @example({1: 1})
+    @example({6: 16})  # the largest small_queries shape
+    @example({1: 3, 31: 4})  # exactly at the packed limit
+    def test_packed_equals_product_tree(self, groups):
+        assert counting._product_packed(groups) == list(counting._product_tree(groups))
+
+    def test_edge_shapes_straddle_the_packed_limit(self):
+        assert _packed_bits({1: 3, 31: 4}) == counting._PACKED_MAX_BITS
+        assert _packed_bits({1: 4, 31: 4}) > counting._PACKED_MAX_BITS
+        assert _packed_bits({3: 64}) <= counting._PACKED_MAX_BITS < _packed_bits({3: 65})
+        assert _packed_bits({9: 8, 10: 8}) <= counting._PACKED_MAX_BITS
+        assert _packed_bits({10: 9, 11: 7}) > counting._PACKED_MAX_BITS
+
+    # Every shape expected on the recurrence or the tree is past the packed
+    # limit.
     @pytest.mark.parametrize(
         "groups, route",
         [
-            ({4: 13}, "recurrence"),
+            ({4: 46}, "recurrence"),  # the fewest fours past the packed limit
             ({4: 500}, "recurrence"),
             ({63: 8}, "recurrence"),
             ({64: 8}, "tree"),
             ({31: 8, 32: 8}, "recurrence"),  # deg R 63, deg Q 8 * 63
             ({31: 9, 32: 7}, "tree"),  # deg R 63, deg Q 8 * 63 - 1
             ({30: 9, 34: 8}, "tree"),  # deg R 64
-            ({3: 12, 2: 2}, "recurrence"),  # deg Q 8 * 5
-            ({3: 11, 2: 3}, "tree"),  # deg Q 8 * 5 - 1
+            ({10: 8, 11: 8}, "recurrence"),  # deg Q 8 * 21
+            ({10: 9, 11: 7}, "tree"),  # deg Q 8 * 21 - 1
             ({k: 1 for k in range(1, 21)}, "tree"),
+            ({4: 13}, "packed"),  # the deck
+            ({6: 16}, "packed"),
+            ({3: 12, 2: 2}, "packed"),  # deg Q 8 * 5
+            ({3: 11, 2: 3}, "packed"),  # deg Q 8 * 5 - 1
+            ({9: 8, 10: 8}, "packed"),  # deg Q 8 * 19
+            ({1: 3, 31: 4}, "packed"),  # exactly at the packed limit
+            ({1: 4, 31: 4}, "tree"),  # one slot past it
+            ({3: 64}, "packed"),
+            ({3: 65}, "recurrence"),
         ],
     )
     def test_rule_picks_the_route(self, monkeypatch, groups, route):
         taken = []
-        for name in ("recurrence", "tree"):
+        for name in ("packed", "recurrence", "tree"):
             real = getattr(counting, f"_product_{name}")
             monkeypatch.setattr(
                 counting, f"_product_{name}",
@@ -333,7 +391,8 @@ class TestProductRoutes:
 
 # Counts on both sides of the route rule and on its edges, written by
 # scripts/record_count_corpus.py from the product tree alone, before the
-# recurrence went in.
+# recurrence went in; the shapes around the packed limit were recorded by
+# the recurrence and tree routes, before the packed route went in.
 COUNT_CORPUS = json.loads(
     (Path(__file__).parent / "data" / "count_corpus.json").read_text()
 )
