@@ -33,7 +33,6 @@ from .bigint import from_decimal, to_decimal
 from .counting import (
     classic_derangement,
     multiset_derangement,
-    uniform_prefix,
     uniform_terms,
     wrong_rank_probability,
 )
@@ -141,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixed", choices=["k", "n"], required=True)
     p.add_argument("--value", type=_int_at_least(0), required=True)
     p.add_argument("--count", type=_int_at_least(1), required=True,
-                   help="number of local terms to compute, starting at index 0")
+                   help="how many local terms, from index 0, to check against the "
+                   "published ones; only the terms the b-file also has are computed")
     p.add_argument("--online", action="store_true",
                    help="allow fetching from the network when not cached")
     p.add_argument("--cache-dir", type=Path, default=None)
@@ -298,11 +298,10 @@ def _cmd_guess(args) -> int:
 
 
 def _cmd_oeis_check(args) -> int:
-    direction = f"fixed_{args.fixed}"
-    local = SequenceSlice(0, tuple(uniform_prefix(direction, args.value, args.count)))
+    local = uniform_terms(f"fixed_{args.fixed}", args.value)
     client = OeisClient(cache_dir=args.cache_dir, online=args.online)
     try:
-        report = client.cross_check(local, args.id)
+        report = client.cross_check(local, args.id, args.count)
     except OSError as exc:  # filling its cache is the client's only file system write
         print(f"error: cannot write {client.cache_dir}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,6 +7,13 @@ published b-file.  Fetched files are cached verbatim in b-file format, so
 cached artifacts stay human-auditable and every later run is reproducible
 without a network.
 
+A cross-check fetches the published terms before it looks at the local
+ones.  Local terms may come as a SequenceSlice or as an iterator of terms
+from index 0 with a count; either way only the overlap with the published
+range is compared, an iterator is drawn no further than that overlap or the
+first mismatch, and an offline or not-found verdict draws nothing.  So a
+long --count costs only the terms the published b-file has.
+
 Environment variables:
   MULTIDERANGE_OEIS_BASE_URL  override the remote endpoint (fixture servers)
   MULTIDERANGE_OEIS_CACHE     override the cache directory
@@ -16,8 +23,11 @@ from __future__ import annotations
 
 import os
 import re
+import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 
@@ -94,25 +104,44 @@ class OeisClient:
         self._write_cache(cache_file, data)
         return slice_
 
-    def cross_check(self, local: SequenceSlice, sequence_id: str) -> OeisReport:
-        """Compare a local slice against published terms over their overlap."""
-        if not local.terms:
-            raise ValueError("local slice must be nonempty")
+    def cross_check(
+        self, local: SequenceSlice | Iterable[int], sequence_id: str, count: int | None = None
+    ) -> OeisReport:
+        """Compare local terms against published terms over their overlap.
+
+        `local` is a SequenceSlice, or an iterable whose first `count` items
+        are the local terms from index 0.  The published terms are fetched
+        first; local terms are then drawn in order, only up to the end of
+        the overlap, and none after the first mismatch.
+        """
+        if isinstance(local, SequenceSlice):
+            if count is not None:
+                raise TypeError("count applies only to an iterable of terms")
+            offset, count, terms = local.offset, len(local), local.terms
+        elif count is None:
+            raise TypeError("an iterable of terms needs a count")
+        else:
+            offset, terms = 0, local
+        if count < 1:
+            raise ValueError("local terms must be nonempty")
         try:
             remote = self.fetch_terms(sequence_id)
         except NetworkUnavailable:
-            return OeisReport(sequence_id, "offline", 0, None, local.offset, None)
+            return OeisReport(sequence_id, "offline", 0, None, offset, None)
         except UnknownSequence:
-            return OeisReport(sequence_id, "not_found", 0, None, local.offset, None)
-        lo = max(local.offset, remote.offset)
-        hi = min(local.end, remote.end)
+            return OeisReport(sequence_id, "not_found", 0, None, offset, None)
+        lo = max(offset, remote.offset)
+        hi = min(offset + count, remote.end)
         compared = max(0, hi - lo)
-        for n in range(lo, hi):
-            if local.term(n) != remote.term(n):
-                return OeisReport(
-                    sequence_id, "mismatch_at", compared, n, local.offset, remote.offset
-                )
-        return OeisReport(sequence_id, "match", compared, None, local.offset, remote.offset)
+        stop = hi if compared else offset  # draw nothing when nothing overlaps
+        drawn = offset
+        for n, term in enumerate(islice(terms, stop - offset), offset):
+            if n >= lo and term != remote.term(n):
+                return OeisReport(sequence_id, "mismatch_at", compared, n, offset, remote.offset)
+            drawn = n + 1
+        if drawn < stop:
+            raise ValueError(f"local terms end at index {drawn}, short of the count {count}")
+        return OeisReport(sequence_id, "match", compared, None, offset, remote.offset)
 
     def _download(self, sequence_id: str) -> bytes:
         url = f"{self.base_url}/{sequence_id}/{_bfile_name(sequence_id)}"
@@ -127,13 +156,19 @@ class OeisClient:
         raise NetworkUnavailable(f"fetching {url} failed: {last_error}")
 
     def _write_cache(self, cache_file: Path, data: bytes) -> None:
+        """Store data as cache_file by renaming a temp file of this writer's
+        own: readers never see a partial file, and concurrent fills of one
+        id each rename a whole file."""
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = cache_file.with_suffix(".tmp")
+        fd, tmp = tempfile.mkstemp(
+            prefix=f"{cache_file.name}.", suffix=".tmp", dir=self.cache_dir
+        )
         try:
-            tmp.write_bytes(data)
-            os.replace(tmp, cache_file)  # readers never see partial files
-        except OSError:
-            tmp.unlink(missing_ok=True)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
+            os.replace(tmp, cache_file)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
             raise
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import urllib.request
 from fractions import Fraction
 from pathlib import Path
@@ -461,6 +462,44 @@ class TestOeisCheck:
         )
         assert code == 0
         assert "offline" in out
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Counts the local terms oeis-check draws from uniform_terms."""
+        from multiderange import cli
+
+        real, drawn = cli.uniform_terms, []
+
+        def counted(direction, value):
+            for term in real(direction, value):
+                drawn.append(term)
+                yield term
+
+        monkeypatch.setattr(cli, "uniform_terms", counted)
+        return drawn
+
+    def test_long_count_computes_only_the_published_terms(self, capsys, draws):
+        start = time.perf_counter()
+        code, out, _ = run_cli(
+            capsys, "oeis-check", "--id", "A059073", "--fixed", "k", "--value", "3",
+            "--count", "2000",
+        )
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        assert out == "A059073: match over 13 terms (local offset 0, remote offset 0)\n"
+        assert len(draws) == 13
+        assert elapsed < 2.0, f"took {elapsed:.2f} s"  # all 2000 terms would take ~30 s
+
+    def test_long_count_offline_computes_nothing(self, capsys, tmp_path, monkeypatch, draws):
+        monkeypatch.setenv("MULTIDERANGE_OFFLINE", "1")
+        monkeypatch.setenv("MULTIDERANGE_OEIS_CACHE", str(tmp_path))
+        code, out, _ = run_cli(
+            capsys, "oeis-check", "--id", "A999990", "--fixed", "k", "--value", "3",
+            "--count", "2000",
+        )
+        assert code == 0
+        assert out == "A999990: offline (no cached terms; rerun with --online)\n"
+        assert draws == []
 
     def test_structured_report(self, capsys):
         _, out, _ = run_cli(
