@@ -21,6 +21,7 @@ mutate the parser or its defaults, and every default is immutable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -249,19 +250,19 @@ def _cmd_table(args) -> int:
         terms.extend(islice(stream, args.upto + 1 - len(terms)))
         produced = SequenceSlice(0, tuple(terms))
 
+    serialized = None if recurrence is None else recurrence_to_json(recurrence)
     if args.format == "structured":
         _print_json({
             "fixed": args.fixed,
             "value": args.value,
             "offset": 0,
             "terms": [to_decimal(t) for t in produced.terms],
-            "recurrence": json.loads(recurrence_to_json(recurrence)) if recurrence else None,
+            "recurrence": None if serialized is None else json.loads(serialized),
         })
     else:
         _write_terms(args.format, produced)
 
-    if recurrence is not None:
-        serialized = recurrence_to_json(recurrence)
+    if serialized is not None:
         if args.recurrence_out:
             try:
                 args.recurrence_out.write_text(serialized + "\n")
@@ -306,14 +307,7 @@ def _cmd_oeis_check(args) -> int:
         print(f"error: cannot write {client.cache_dir}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "structured":
-        _print_json({
-            "sequence_id": report.sequence_id,
-            "verdict": report.verdict,
-            "compared": report.compared,
-            "mismatch_index": report.mismatch_index,
-            "local_offset": report.local_offset,
-            "remote_offset": report.remote_offset,
-        })
+        _print_json(dataclasses.asdict(report))
     else:
         sys.stdout.write(_report_text(report))
     if report.verdict == "mismatch_at":

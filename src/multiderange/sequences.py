@@ -16,6 +16,7 @@ so parsing is lenient about comment lines starting with '#'.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .bigint import from_decimal, to_decimal
 from .errors import SequenceParseError
@@ -55,17 +56,10 @@ def parse_bfile(text: str) -> SequenceSlice:
     offset: int | None = None
     expected = 0
     terms: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
+    for lineno, raw, fields in _data_lines(text):
         if len(fields) != 2:
             raise SequenceParseError(f"line {lineno}: expected 'n a(n)', got {raw!r}")
-        try:
-            index, value = from_decimal(fields[0]), from_decimal(fields[1])
-        except ValueError as exc:
-            raise SequenceParseError(f"line {lineno}: {exc}") from exc
+        index, value = _parse_int(lineno, fields[0]), _parse_int(lineno, fields[1])
         if offset is None:
             offset = index
         elif index != expected:
@@ -80,15 +74,7 @@ def parse_bfile(text: str) -> SequenceSlice:
 
 
 def parse_plain(text: str, offset: int = 0) -> SequenceSlice:
-    terms: list[int] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            terms.append(from_decimal(line))
-        except ValueError as exc:
-            raise SequenceParseError(f"line {lineno}: {exc}") from exc
+    terms = [_parse_int(lineno, raw.strip()) for lineno, raw, _ in _data_lines(text)]
     if not terms:
         raise SequenceParseError("no terms found")
     return SequenceSlice(offset, tuple(terms))
@@ -96,9 +82,22 @@ def parse_plain(text: str, offset: int = 0) -> SequenceSlice:
 
 def parse_terms_file(text: str) -> SequenceSlice:
     """Auto-detect plain vs b-file content: two-field lines mean b-file."""
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        return parse_bfile(text) if len(line.split()) == 2 else parse_plain(text)
+    for _, _, fields in _data_lines(text):
+        return parse_bfile(text) if len(fields) == 2 else parse_plain(text)
     raise SequenceParseError("no terms found")
+
+
+def _data_lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, line, its fields) of every line that is neither blank
+    nor a '#' comment."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, raw, line.split()
+
+
+def _parse_int(lineno: int, text: str) -> int:
+    try:
+        return from_decimal(text)
+    except ValueError as exc:
+        raise SequenceParseError(f"line {lineno}: {exc}") from exc

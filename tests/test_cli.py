@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 
 from multiderange.bigint import to_decimal
 from multiderange.cli import build_parser, decimal_approx, main
-from multiderange.counting import classic_derangement, uniform_count
+from multiderange.counting import classic_derangement, uniform_count, uniform_prefix
 from multiderange.recurrences import guess_and_extend_uniform, recurrence_to_json
 from multiderange.sequences import (
     SequenceSlice,
@@ -509,6 +510,54 @@ class TestOeisCheck:
         document = json.loads(out)
         assert document["verdict"] == "match"
         assert document["compared"] == 10
+
+    def test_structured_report_bytes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("MULTIDERANGE_OFFLINE", "1")
+        corrupted = "".join(
+            f"{n} {classic_derangement(n) + (n == 3)}\n" for n in range(10)
+        )
+        (tmp_path / "b000166.txt").write_text(corrupted)
+        lines = [
+            run_cli(
+                capsys, "oeis-check", "--id", sequence_id, "--fixed", "k", "--value", "1",
+                "--count", "10", "--cache-dir", str(tmp_path), "--format", "structured",
+            )[:2]
+            for sequence_id in ("A000166", "A999990")
+        ]
+        assert lines == [
+            (4, '{"compared": 10, "local_offset": 0, "mismatch_index": 3, '
+                '"remote_offset": 0, "sequence_id": "A000166", "verdict": "mismatch_at"}\n'),
+            (0, '{"compared": 0, "local_offset": 0, "mismatch_index": null, '
+                '"remote_offset": null, "sequence_id": "A999990", "verdict": "offline"}\n'),
+        ]
+
+
+class TestGoldenOutput:
+    """stdout SHA-256 of the benchmark's three fixed workloads."""
+
+    def test_big_multi(self, capsys):
+        code, out, _ = run_cli(capsys, "multi", *["4"] * 500)
+        assert code == 0
+        assert _sha256(out) == "f545922f6e3e85bd70e37fd9af72acc1c038906733ba8f3473bd7cbdafe5d3c6"
+
+    def test_table_k4(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "table", "--fixed", "k", "--value", "4", "--upto", "1000", "--seed", "110"
+        )
+        assert code == 0
+        assert _sha256(out) == "71a72fddabd053f3906cb829e3545767d27f730e22e47d93869577a11700f42f"
+
+    def test_guess_k6(self, capsys, tmp_path):
+        terms_file = tmp_path / "k6.txt"
+        terms = uniform_prefix("fixed_k", 6, 190)
+        terms_file.write_text(format_bfile(SequenceSlice(0, tuple(terms))))
+        code, out, _ = run_cli(capsys, "guess", "--terms-file", str(terms_file))
+        assert code == 0
+        assert _sha256(out) == "6afb8c9a6d340cd251adfeef02013e72f597a4c5c3bdfb3b6205f822c9329b04"
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestDeterminismAndFormats:

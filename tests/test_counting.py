@@ -308,7 +308,7 @@ def _only_route(monkeypatch, route):
     """Make every product route but `route` raise when reached."""
     for name in ("packed", "recurrence", "tree"):
         if name != route:
-            def refuse(groups, name=name):
+            def refuse(*args, name=name):
                 raise RuntimeError(f"{name} route reached")
 
             monkeypatch.setattr(counting, f"_product_{name}", refuse)
@@ -342,7 +342,8 @@ class TestProductRoutes:
     @example({6: 16})  # the largest small_queries shape
     @example({1: 3, 31: 4})  # exactly at the packed limit
     def test_packed_equals_product_tree(self, groups):
-        assert counting._product_packed(groups) == list(counting._product_tree(groups))
+        width = counting._packed_slot_bytes(groups)
+        assert counting._product_packed(groups, width) == list(counting._product_tree(groups))
 
     def test_edge_shapes_straddle_the_packed_limit(self):
         assert _packed_bits({1: 3, 31: 4}) == counting._PACKED_MAX_BITS
@@ -383,10 +384,20 @@ class TestProductRoutes:
             real = getattr(counting, f"_product_{name}")
             monkeypatch.setattr(
                 counting, f"_product_{name}",
-                lambda g, name=name, real=real: taken.append(name) or real(g),
+                lambda *args, name=name, real=real: taken.append(name) or real(*args),
             )
         multiset_derangement([a for a, c in groups.items() for _ in range(c)])
         assert taken == [route]
+
+    @pytest.mark.parametrize("groups", [{4: 13}, {6: 16}])  # the deck, 16 sixes
+    def test_packed_count_bounds_its_slots_once(self, monkeypatch, groups):
+        calls = []
+        real = counting._packed_slot_bytes
+        monkeypatch.setattr(
+            counting, "_packed_slot_bytes", lambda g: calls.append(g) or real(g)
+        )
+        multiset_derangement([a for a, c in groups.items() for _ in range(c)])
+        assert calls == [groups]
 
 
 # Counts on both sides of the route rule and on its edges, written by

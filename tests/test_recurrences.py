@@ -986,6 +986,62 @@ class TestGuessAndExtend:
             guess_and_extend_uniform("fixed_k", 9, 40, 100)
 
 
+def _seed_check_agrees_with_full_check(seed):
+    """guess_seed returns the guess exactly when the check of every row of
+    the seed passes, and otherwise fails at that check's first failure."""
+    shown = SequenceSlice(seed.offset, seed.terms[:-GUESS_MARGIN])
+    rec = guess_recurrence(shown, DEFAULT_MAX_ORDER, DEFAULT_MAX_DEGREE)
+    full = verify_recurrence(rec, seed)
+    if full.ok:
+        assert recurrences.guess_seed(seed, DEFAULT_MAX_ORDER, DEFAULT_MAX_DEGREE) == rec
+    else:
+        with pytest.raises(HoldoutMismatch) as info:
+            recurrences.guess_seed(seed, DEFAULT_MAX_ORDER, DEFAULT_MAX_DEGREE)
+        assert info.value.index == full.failures[0]
+
+
+class TestHeldOutCheck:
+    @pytest.mark.parametrize("k, count, offset", [(2, 40, 0), (2, 40, 7), (4, 110, 0)])
+    def test_only_rows_reaching_a_held_out_term_are_checked(
+        self, monkeypatch, k, count, offset
+    ):
+        seed = SequenceSlice(offset, tuple(uniform_prefix("fixed_k", k, count)))
+        rows = []
+        real_residual, real_guess = recurrences._residual, recurrences.guess_recurrence
+
+        def residual(rec, s, n):
+            rows.append(n)
+            return real_residual(rec, s, n)
+
+        def guess(*args):
+            rec = real_guess(*args)
+            rows.clear()  # the fit's own exact checks are not the held-out check
+            return rec
+
+        monkeypatch.setattr(recurrences, "_residual", residual)
+        monkeypatch.setattr(recurrences, "guess_recurrence", guess)
+        rec = recurrences.guess_seed(seed, DEFAULT_MAX_ORDER, DEFAULT_MAX_DEGREE)
+        shown_end = seed.end - GUESS_MARGIN
+        # Row n reads s(n), ..., s(n + order): each row whose window reaches
+        # past the shown terms, and no other.
+        assert rows == list(range(shown_end - rec.order, seed.end - rec.order))
+
+    def test_poisoned_seed_fails_where_the_full_check_does(self):
+        _seed_check_agrees_with_full_check(
+            SequenceSlice(0, tuple([2**i for i in range(39)] + [999]))
+        )
+
+    @given(
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=0, max_value=GUESS_MARGIN - 1),
+        st.sampled_from([-1, 1]),
+    )
+    def test_changed_held_out_term_fails_where_the_full_check_does(self, k, held, delta):
+        terms = uniform_prefix("fixed_k", k, 60)
+        terms[len(terms) - GUESS_MARGIN + held] += delta
+        _seed_check_agrees_with_full_check(SequenceSlice(0, tuple(terms)))
+
+
 class TestSerialization:
     def test_round_trip(self):
         for rec in (DERANGEMENT_REC, FACTORIAL_REC):

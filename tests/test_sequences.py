@@ -96,3 +96,53 @@ class TestAutodetect:
     def test_empty_rejected(self):
         with pytest.raises(SequenceParseError):
             parse_terms_file("")
+
+
+def _int_error(lineno, text):
+    return f"line {lineno}: invalid literal for int() with base 10: {text!r}"
+
+
+def _fields_error(lineno, raw):
+    return f"line {lineno}: expected 'n a(n)', got {raw!r}"
+
+
+# Each text with what parse_bfile, parse_plain and parse_terms_file give:
+# the parsed slice, or the exact SequenceParseError message, whose line
+# numbers count blank and comment lines too.
+PARSE_GRID = [
+    ("# header\n0 1\n1 x\n", _int_error(3, "x"), _int_error(2, "0 1"), _int_error(3, "x")),
+    ("0 1\n1 2 # note\n",
+     _fields_error(2, "1 2 # note"), _int_error(1, "0 1"), _fields_error(2, "1 2 # note")),
+    ("1\n2 # two\n", _fields_error(1, "1"), _int_error(2, "2 # two"), _int_error(2, "2 # two")),
+    ("   \n\t\n0 1\n \t \n1 2\n2\n",
+     _fields_error(6, "2"), _int_error(3, "0 1"), _fields_error(6, "2")),
+    ("\n0 1\n\t1 2 3 \n",
+     _fields_error(3, "\t1 2 3 "), _int_error(2, "0 1"), _fields_error(3, "\t1 2 3 ")),
+    ("# c\n\n0 1_0\n", _int_error(3, "1_0"), _int_error(3, "0 1_0"), _int_error(3, "1_0")),
+    ("# c\n\n1_0\n", _fields_error(3, "1_0"), _int_error(3, "1_0"), _int_error(3, "1_0")),
+    ("0_0 1\n", _int_error(1, "0_0"), _int_error(1, "0_0 1"), _int_error(1, "0_0")),
+    ("\t\n0 1\n1 ٣\n",
+     _int_error(3, "٣"), _int_error(2, "0 1"), _int_error(3, "٣")),
+    ("\n \n٣\n", _fields_error(3, "٣"), _int_error(3, "٣"), _int_error(3, "٣")),
+    ("0 1\n# c\n2 9\n",
+     "line 3: index 2 breaks the run (expected 1)", _int_error(1, "0 1"),
+     "line 3: index 2 breaks the run (expected 1)"),
+    ("", "no terms found", "no terms found", "no terms found"),
+    ("# only\n \t\n", "no terms found", "no terms found", "no terms found"),
+    ("# c\n\t0\t5\n \n1  6\n",
+     SequenceSlice(0, (5, 6)), _int_error(2, "0\t5"), SequenceSlice(0, (5, 6))),
+    (" +3 \n\t\n-04\n",
+     _fields_error(1, " +3 "), SequenceSlice(0, (3, -4)), SequenceSlice(0, (3, -4))),
+]
+
+
+@pytest.mark.parametrize("text, bfile, plain, terms_file", PARSE_GRID)
+def test_parsers_report_each_line_as_before(text, bfile, plain, terms_file):
+    for parse, expected in ((parse_bfile, bfile), (parse_plain, plain),
+                            (parse_terms_file, terms_file)):
+        if isinstance(expected, SequenceSlice):
+            assert parse(text) == expected
+        else:
+            with pytest.raises(SequenceParseError) as info:
+                parse(text)
+            assert str(info.value) == expected
