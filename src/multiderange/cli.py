@@ -64,8 +64,8 @@ DEFAULT_SEED = 60
 DECK_MULTISET = (4,) * 13
 
 
-def decimal_approx(value: Fraction, significant: int = 15) -> str:
-    """Decimal rendering to `significant` digits by one correctly rounded
+def decimal_approx(value: Fraction) -> str:
+    """Decimal rendering to 15 significant digits by one correctly rounded
     decimal division.
 
     Rounds half to even and strips trailing zeros; falls back to scientific
@@ -73,7 +73,7 @@ def decimal_approx(value: Fraction, significant: int = 15) -> str:
     """
     if value == 0:
         return "0"
-    context = Context(prec=significant, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    context = Context(prec=15, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
     q = context.divide(Decimal(value.numerator), Decimal(value.denominator)).normalize(context)
     return f"{q:f}" if -60 <= q.adjusted() <= 60 else f"{q:e}"
 

@@ -127,9 +127,7 @@ def uniform_count(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
-    if n == 0 or k == 0:
-        return 1
-    return _grouped_count({k: n})
+    return _grouped_count({k: n} if n and k else {})
 
 
 # Q = prod (a! * L_a)^c_a is packed into one integer when that integer,
@@ -171,19 +169,19 @@ _RECURRENCE_MIN_REPEAT = 8
 
 def _grouped_count(groups: dict[int, int]) -> int:
     """Derangement count of the multiset with groups[a] copies of
-    multiplicity a, every a and groups[a] >= 1."""
+    multiplicity a, every a and groups[a] >= 1 (no groups: the empty word)."""
     deg_r = sum(groups)
     deg_q = sum(a * c for a, c in groups.items())
+    scale = prod(factorial(a) ** c for a, c in groups.items())
     # Every slot has at least 8 bits, so a longer Q skips forming the bound.
     if deg_q < _PACKED_MAX_BITS // 8 and (
         (deg_q + 1) * 8 * (width := _packed_slot_bytes(groups)) <= _PACKED_MAX_BITS
     ):
-        q = _product_packed(groups, width)
+        q = _product_packed(groups, deg_q, width)
     elif deg_r < _RECURRENCE_MAX_DEG_R and deg_q >= _RECURRENCE_MIN_REPEAT * deg_r:
-        q = _product_recurrence(groups)
+        q = _product_recurrence(groups, deg_q, scale)
     else:
         q = _product_tree(groups)
-    scale = prod(factorial(a) ** c for a, c in groups.items())
     return _signed_count(integer_moment(q), deg_q, scale)
 
 
@@ -194,9 +192,9 @@ def _packed_slot_bytes(groups: dict[int, int]) -> int:
     return bound.bit_length() // 8 + 1
 
 
-def _product_packed(groups: dict[int, int], width: int) -> list[int]:
+def _product_packed(groups: dict[int, int], deg_q: int, width: int) -> list[int]:
     """Q's coefficients from one big integer, Q(256^w) = prod P_a(256^w)^c_a,
-    with w = width = _packed_slot_bytes(groups).
+    with w = width = _packed_slot_bytes(groups) and deg Q = deg_q.
 
     Each distinct P_a = a! * L_a is evaluated exactly at 256^w, signed
     coefficients and all, so any integer factors give their exact product.
@@ -211,7 +209,7 @@ def _product_packed(groups: dict[int, int], width: int) -> list[int]:
         for coeff in reversed(scaled_laguerre(a)):
             packed = (packed << shift) + coeff
         value *= packed**c
-    n = sum(a * c for a, c in groups.items()) + 1
+    n = deg_q + 1
     half = 1 << (shift - 1)
     value += int.from_bytes(half.to_bytes(width, "little") * n, "little")
     raw = value.to_bytes(n * width, "little")
@@ -227,8 +225,8 @@ def _product_tree(groups: dict[int, int]) -> Sequence[int]:
     )
 
 
-def _product_recurrence(groups: dict[int, int]) -> list[int]:
-    """Q's coefficients from the first-order ODE R * Q' = S * Q.
+def _product_recurrence(groups: dict[int, int], deg_q: int, q0: int) -> list[int]:
+    """Q's deg_q + 1 coefficients from the first-order ODE R * Q' = S * Q.
 
     With P_a = a! * L_a, R = prod P_a over the distinct a and
     S = sum c_a * P_a' * (R / P_a), so that S / R is Q's logarithmic
@@ -239,7 +237,7 @@ def _product_recurrence(groups: dict[int, int]) -> list[int]:
 
         m * r_0 * q_m = sum_{i>=1} (s_{i-1} - (m - i) * r_i) * q_{m-i},
 
-    from q_0 = prod (a!)^c_a.  Every q_m is an integer, so each division
+    from q_0 = q0 = prod (a!)^c_a.  Every q_m is an integer, so each division
     must be exact; a remainder means a factor is wrong.
     """
     factors = {a: scaled_laguerre(a) for a in groups}
@@ -255,8 +253,8 @@ def _product_recurrence(groups: dict[int, int]) -> list[int]:
     # u_i = s_{i-1} + i * r_i.
     u = [s[i - 1] + i * r[i] for i in range(1, deg_r + 1)]
     tail = r[1:]
-    q = [prod(factorial(a) ** c for a, c in groups.items())]
-    for m in range(1, sum(a * c for a, c in groups.items()) + 1):
+    q = [q0]
+    for m in range(1, deg_q + 1):
         weights = [x - m * y for x, y in zip(u, tail)]
         acc = sum(map(int.__mul__, weights, q[: -deg_r - 1 : -1]))
         q_m, remainder = divmod(acc, m * r[0])
@@ -282,8 +280,9 @@ def uniform_terms(direction: str, value: int) -> Iterator[int]:
 
 def _fixed_k_terms(k: int) -> Iterator[int]:
     """The fixed-k terms from one running product (k! * L_k)^n.  Each step
-    multiplies it by the short factor k! * L_k through `polys.int_mul`,
-    whose dispatch keeps this long x short product in the schoolbook loop.
+    multiplies it by the short factor k! * L_k (k + 1 coefficients) through
+    `polys.int_mul`, which picks by the shorter operand: the schoolbook loop
+    for k < 63, Kronecker substitution for k >= 63 from the second step on.
     """
     short = scaled_laguerre(k)
     scale_step = factorial(k)

@@ -12,15 +12,14 @@ equal polynomials are equal tuples.  `mul`, `product` and `power` are thin
 wrappers over the integer core: they clear the operands' denominators once,
 multiply the integer coefficients, and divide the result back once.
 
-Every product goes through one dispatch on the shorter operand's length.
-Below 64 coefficients the schoolbook loop runs, however long the other
-operand is; from 64 up each operand is packed into a single big number
-(Kronecker substitution), so the whole convolution becomes one big-number
-product: the operands are packed into zero-padded base-10^w slots of a
-`Decimal`, and libmpdec multiplies them with its number-theoretic transform
-in softly linear time, where CPython's own int multiply would be Karatsuba.
-Both paths are exact and give identical coefficients; see _convolve for
-the 64.
+Every product made here goes through one dispatch on the shorter operand's
+length (counting's packed route multiplies CPython ints instead).  Below 64
+coefficients the schoolbook loop runs, however long the other operand is;
+from 64 up each operand is packed into a single big number (Kronecker
+substitution): zero-padded base-10^w slots of a `Decimal`, which libmpdec
+multiplies with its number-theoretic transform in softly linear time, where
+CPython's own int multiply would be Karatsuba.  Both paths are exact and
+give identical coefficients; see _convolve for the 64.
 
 Products of many factors, powers included, are evaluated over a balanced
 tree: pairing factors of similar degree keeps intermediate degrees (and
@@ -135,9 +134,10 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     # factors (multiplicities 1-6), schoolbook vs decimal slots:
     # square products cross over between 64 and 72 coefficients (60x60:
     # 0.62 vs 0.78 ms; 72x72: 1.18 vs 0.74 ms; 128x128: 5.1 vs 2.5 ms).
-    # Long x short products stay in schoolbook, because the packing cost
-    # grows with the longer operand: 1025x9 2.0 vs 110 ms, 1025x49 17 vs
-    # 72 ms, and schoolbook still wins at 1025x64 (27 vs 76 ms).
+    # Long x short products with a short operand below 64 stay in
+    # schoolbook, because the packing cost grows with the longer operand:
+    # 1025x9 2.0 vs 110 ms, 1025x49 17 vs 72 ms; 1025x64 goes to Kronecker,
+    # though schoolbook still wins there (27 vs 76 ms).
     if min(len(a), len(b)) < _KRONECKER_MIN_LEN:
         return _convolve_schoolbook(a, b)
     return _convolve_decimal(a, b)

@@ -262,10 +262,10 @@ def guess_and_extend_uniform(
 
 # -- serialization ----------------------------------------------------------
 
-def recurrence_to_json(rec: Recurrence, variable: str = "n") -> str:
+def recurrence_to_json(rec: Recurrence) -> str:
     document = {
         "order": rec.order,
-        "variable": variable,
+        "variable": "n",
         "coeff_polys": [[to_decimal(c) for c in pj] for pj in rec.coeff_polys],
     }
     return json.dumps(document, sort_keys=True)
@@ -295,15 +295,15 @@ def recurrence_from_json(text: str) -> Recurrence:
     return _normalized(polys)
 
 
-def format_recurrence(rec: Recurrence, variable: str = "n", name: str = "s") -> str:
+def format_recurrence(rec: Recurrence) -> str:
     """Human-readable rendering, highest shift first, e.g. 's(n+1) - s(n) = 0'."""
     parts: list[str] = []
     for j in range(rec.order, -1, -1):
         pj = rec.coeff_polys[j]
         if not pj:
             continue
-        shift = f"{name}({variable}+{j})" if j else f"{name}({variable})"
-        text, negative = _poly_text(pj, variable)
+        shift = f"s(n+{j})" if j else "s(n)"
+        text, negative = _poly_text(pj)
         sign = "-" if negative else "+"
         if not parts:
             parts.append(f"-{text}{shift}" if negative else f"{text}{shift}")
@@ -312,7 +312,7 @@ def format_recurrence(rec: Recurrence, variable: str = "n", name: str = "s") -> 
     return " ".join(parts) + " = 0" if parts else "0 = 0"
 
 
-def _poly_text(pj: tuple[int, ...], variable: str) -> tuple[str, bool]:
+def _poly_text(pj: tuple[int, ...]) -> tuple[str, bool]:
     """Render a coefficient polynomial as a multiplier prefix.
 
     Returns (text, leading_is_negative); text is empty for +-1 constants and
@@ -333,7 +333,7 @@ def _poly_text(pj: tuple[int, ...], variable: str) -> tuple[str, bool]:
         if e == 0:
             body = to_decimal(abs(c))
         else:
-            var = variable if e == 1 else f"{variable}^{e}"
+            var = "n" if e == 1 else f"n^{e}"
             body = var if abs(c) == 1 else f"{to_decimal(abs(c))}*{var}"
         if not monomials:
             monomials.append(body if c > 0 else f"-{body}")

@@ -73,11 +73,11 @@ def parse_bfile(text: str) -> SequenceSlice:
     return SequenceSlice(offset, tuple(terms))
 
 
-def parse_plain(text: str, offset: int = 0) -> SequenceSlice:
+def parse_plain(text: str) -> SequenceSlice:
     terms = [_parse_int(lineno, raw.strip()) for lineno, raw, _ in _data_lines(text)]
     if not terms:
         raise SequenceParseError("no terms found")
-    return SequenceSlice(offset, tuple(terms))
+    return SequenceSlice(0, tuple(terms))
 
 
 def parse_terms_file(text: str) -> SequenceSlice:

@@ -334,7 +334,11 @@ class TestProductRoutes:
     @example({30: 3, 33: 1})
     @example({1: 5, 62: 1})
     def test_recurrence_equals_product_tree(self, groups):
-        assert counting._product_recurrence(groups) == list(counting._product_tree(groups))
+        deg_q = sum(a * c for a, c in groups.items())
+        q0 = math.prod(math.factorial(a) ** c for a, c in groups.items())
+        assert counting._product_recurrence(groups, deg_q, q0) == list(
+            counting._product_tree(groups)
+        )
 
     @given(groupings)
     @example({})
@@ -342,8 +346,11 @@ class TestProductRoutes:
     @example({6: 16})  # the largest small_queries shape
     @example({1: 3, 31: 4})  # exactly at the packed limit
     def test_packed_equals_product_tree(self, groups):
+        deg_q = sum(a * c for a, c in groups.items())
         width = counting._packed_slot_bytes(groups)
-        assert counting._product_packed(groups, width) == list(counting._product_tree(groups))
+        assert counting._product_packed(groups, deg_q, width) == list(
+            counting._product_tree(groups)
+        )
 
     def test_edge_shapes_straddle_the_packed_limit(self):
         assert _packed_bits({1: 3, 31: 4}) == counting._PACKED_MAX_BITS

@@ -731,6 +731,35 @@ def test_prime_stream_is_the_primes_below_2_to_the_30():
     assert all(q < 1 << 30 for q in primes)
 
 
+def _is_prime_by_trial_division(n):
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def test_first_64_fit_primes_by_trial_division():
+    expected = [n for n in range((1 << 30) - 1, 1073740462, -1) if _is_prime_by_trial_division(n)]
+    assert len(expected) == 64
+    assert expected[0] == 1073741789 and expected[-1] == 1073740463
+    primes = list(itertools.islice(recurrences._prime_stream(), 64))
+    assert primes == expected
+    assert recurrences._SCREEN_PRIME not in primes
+    # The screen's prime is the largest prime below 2^27.
+    screen = recurrences._SCREEN_PRIME
+    assert _is_prime_by_trial_division(screen)
+    assert not any(map(_is_prime_by_trial_division, range(screen + 1, 1 << 27)))
+
+
+@pytest.mark.parametrize(
+    "n",
+    [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+     341550071728321, 3825123056546413051, 561],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # The first eight are the smallest strong pseudoprimes to the first
+    # 1, 2, ..., 9 prime bases (2, then 2 and 3, ..., up to 23); 561 is the
+    # smallest Carmichael number.
+    assert not recurrences._is_prime(n)
+
+
 def _reference_echelon(rows, p):
     """_echelon_mod_p's forward elimination on Python ints, reduced after
     every update: the pivot columns, the pivot rows' original indices and
@@ -1055,9 +1084,9 @@ class TestSerialization:
     def test_document_fields(self):
         import json
 
-        doc = json.loads(recurrence_to_json(DERANGEMENT_REC, variable="m"))
+        doc = json.loads(recurrence_to_json(DERANGEMENT_REC))
         assert doc["order"] == 2
-        assert doc["variable"] == "m"
+        assert doc["variable"] == "n"
         assert doc["coeff_polys"] == [["-1", "-1"], ["-1", "-1"], ["1"]]
 
     def test_inconsistent_document_rejected(self):
