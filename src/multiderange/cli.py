@@ -15,8 +15,12 @@ Output formats: plain (one decimal integer per line), bfile (lines
 decimal divisions of the exact fraction, never binary floating point.
 
 `build_parser` declares the whole command line and builds it once per
-process, on first use; every `main` call shares it, so handlers must not
-mutate the parser or its defaults, and every default is immutable.
+process, on first use, with its map from command name to subcommand parser;
+every `main` call shares them, so handlers must not mutate a parser or its
+defaults, and every default is immutable.  A call whose first token names a
+command is parsed once, by that command's parser; the full parser, whose
+subparsers action would scan every token a second time, parses only the
+rest (no arguments, an option or an unknown word first).
 """
 from __future__ import annotations
 
@@ -85,8 +89,9 @@ def _fraction_text(value) -> str:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The whole command line, built once per process on first use."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The whole command line and its command name -> subcommand parser map,
+    built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="multiderange",
         description="Exact derangement counts of multisets, sequence tables, "
@@ -149,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["plain", "structured"], default="plain")
     p.set_defaults(run=_cmd_oeis_check)
 
-    return parser
+    return parser, sub.choices
 
 
 def _add_format(p: argparse.ArgumentParser) -> None:
@@ -189,12 +194,26 @@ def _sequence_id(text: str) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         return args.run(args)
     except MultiDerangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """What `build_parser()[0].parse_args(argv)` returns, with the same usage
+    errors, from one parse when argv starts with a command."""
+    parser, commands = build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def run() -> None:
@@ -251,6 +270,12 @@ def _cmd_table(args) -> int:
         produced = SequenceSlice(0, tuple(terms))
 
     serialized = None if recurrence is None else recurrence_to_json(recurrence)
+    if serialized is not None and args.recurrence_out:
+        try:  # before the table, so that a usage error leaves stdout empty
+            args.recurrence_out.write_text(serialized + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.recurrence_out}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     if args.format == "structured":
         _print_json({
             "fixed": args.fixed,
@@ -262,15 +287,8 @@ def _cmd_table(args) -> int:
     else:
         _write_terms(args.format, produced)
 
-    if serialized is not None:
-        if args.recurrence_out:
-            try:
-                args.recurrence_out.write_text(serialized + "\n")
-            except OSError as exc:
-                print(f"error: cannot write {args.recurrence_out}: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        else:
-            print(serialized, file=sys.stderr)
+    if serialized is not None and not args.recurrence_out:
+        print(serialized, file=sys.stderr)
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from multiderange.bigint import to_decimal
+from multiderange import cli
 from multiderange.cli import build_parser, decimal_approx, main
 from multiderange.counting import classic_derangement, uniform_count, uniform_prefix
 from multiderange.recurrences import guess_and_extend_uniform, recurrence_to_json
@@ -233,11 +234,12 @@ class TestTable:
         assert document["order"] == 2
 
     def test_unwritable_recurrence_out_is_usage_error(self, capsys, tmp_path):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "table", "--fixed", "k", "--value", "1", "--upto", "80",
             "--seed", "40", "--recurrence-out", str(tmp_path / "missing" / "rec.json"),
         )
         assert code == 2
+        assert out == ""
         assert err.startswith("error: cannot write ")
 
     def test_fallback_when_caps_too_small(self, capsys):
@@ -668,8 +670,9 @@ class TestSharedParser:
         assert build_parser() is build_parser()
 
     def test_every_default_is_immutable(self):
-        (commands,) = build_parser()._subparsers._group_actions
-        for sub in commands.choices.values():
+        _, commands = build_parser()
+        assert sorted(commands) == sorted(COMMANDS)
+        for sub in commands.values():
             defaults = [*sub._defaults.values(), *(a.default for a in sub._actions)]
             for value in defaults:
                 hash(value)  # lists, dicts and sets would be shared across calls
@@ -691,6 +694,100 @@ class TestSharedParser:
             main([command, "--help"])
         assert info.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: multiderange {command} ")
+
+
+TABLE_K4 = ("table", "--fixed", "k", "--value", "4", "--upto", "20")
+OEIS_CHECK = ("oeis-check", "--id", "A000166", "--fixed", "n", "--value", "1", "--count", "5")
+
+# argvs that parse to a namespace
+PARSES = [
+    ("derange", "5"), ("derange", "0", "--format", "bfile"), ("derange", "--form", "bfile", "7"),
+    ("derange", "-0"), ("derange", "--", "3"), ("derange", "--format=structured", "2"),
+    ("multi", "4", "4", "2"), ("multi", "2", "--", "3"), ("multi", "--form", "structured", "3"),
+    ("multi", "12", "+3"),
+    ("deck",), ("deck", "--form", "bfile"), ("deck", "--format", "structured"),
+    ("prob", "3", "3"), ("prob", "--format", "structured", "2", "2"),
+    ("prob", "--fo", "plain", "1"),
+    TABLE_K4, (*TABLE_K4, "--seed", "8", "--direct-only", "--format", "bfile"),
+    (*TABLE_K4, "--no-f", "--rec", "rec.json", "--max-o", "3", "--max-d", "2"),
+    ("table", "--upto=0", "--value=-0", "--fixed=n", "--form", "structured"),
+    ("guess", "--terms-file", "terms.txt"), ("guess", "--terms=t.txt", "--max-order", "3"),
+    OEIS_CHECK, (*OEIS_CHECK, "--online", "--cache-dir", "c", "--format", "structured"),
+]
+
+# argvs that end in SystemExit: usage errors (exit 2) and help (exit 0)
+EXITS = [
+    (), ("-h",), ("--help",), ("--version",), ("unknown",), ("der", "5"), ("Deck",),
+    ("--format", "plain", "deck"), ("-h", "deck"), ("--", "deck"),
+    ("derange",), ("multi",), ("prob",), ("guess",), ("table",), ("oeis-check",),
+    ("derange", "-5"), ("derange", "1_0"), ("derange", " 5"), ("derange", "5", "6"),
+    ("derange", "5", "--", "6"), ("multi", "0"), ("multi", "2", "--bogus"), ("multi", "--", "-1"),
+    ("deck", "extra"), ("deck", "--"), ("deck", "--format", "xml"), ("deck", "-x"),
+    ("deck", "--form"),
+    ("prob", "2", "--format", "bfile"), ("prob", "2", "--format"),
+    TABLE_K4[:-2], ("table", "--fixed", "m", "--value", "1", "--upto", "3"),
+    (*TABLE_K4, "--f", "k"), (*TABLE_K4, "--m", "3"), (*TABLE_K4, "--seed", "-1"),
+    (*TABLE_K4, "--max-order", "0"), (*TABLE_K4, "extra", "--bogus=1"),
+    ("guess", "--terms-file"), ("guess", "--terms-file", "t", "--max-degree", "-1"),
+    ("oeis-check", "--id", "X123", *OEIS_CHECK[3:]), (*OEIS_CHECK[:-1], "0"),
+    OEIS_CHECK[:-2], (*OEIS_CHECK, "--format", "bfile"),
+    *((command, "--help") for command in COMMANDS), ("deck", "-h"), ("table", "--he"),
+]
+
+
+def _outcome(parse, argv, capsys):
+    """What parse(argv) returns or exits with, and what it printed."""
+    try:
+        result = vars(parse(list(argv)))
+    except SystemExit as exc:
+        result = f"exit {exc.code}"
+    return result, capsys.readouterr()
+
+
+class TestDispatchedParse:
+    """A call whose first token names a command is parsed once, by that
+    command's parser, and means what the full parser makes of it."""
+
+    @pytest.mark.parametrize("argv", PARSES, ids=" ".join)
+    def test_namespace_equals_full_parse(self, capsys, argv):
+        parsed = _outcome(cli._parse_args, argv, capsys)
+        assert parsed == _outcome(build_parser()[0].parse_args, argv, capsys)
+        assert parsed[0]["command"] == argv[0]
+        assert parsed[1] == ("", "")
+
+    @pytest.mark.parametrize("argv", EXITS, ids=" ".join)
+    def test_exit_and_text_equal_full_parse(self, capsys, argv):
+        parsed = _outcome(cli._parse_args, argv, capsys)
+        assert parsed == _outcome(build_parser()[0].parse_args, argv, capsys)
+        code, printed = parsed
+        assert code in ("exit 0", "exit 2")
+        assert (printed.out if code == "exit 0" else printed.err).startswith("usage: ")
+
+    @pytest.fixture
+    def full_parse_refused(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the full parser parsed a command argv")
+
+        parser, _ = build_parser()
+        monkeypatch.setattr(parser, "parse_args", refuse)
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+
+    def test_command_argv_skips_the_full_parse(self, capsys, full_parse_refused):
+        assert run_cli(capsys, "deck") == (0, DECK + "\n", "")
+        assert run_cli(capsys, "multi", "4", "4", "2", "--format", "bfile")[:2] == (0, "3 44\n")
+
+    def test_trailing_extra_is_a_top_level_usage_error(self, capsys, full_parse_refused):
+        with pytest.raises(SystemExit) as info:
+            main(["deck", "extra"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: multiderange [-h] {derange,")
+        assert err.endswith("multiderange: error: unrecognized arguments: extra\n")
+
+    def test_no_argv_reads_sys_argv(self, capsys, monkeypatch, full_parse_refused):
+        monkeypatch.setattr(sys, "argv", ["multiderange", "derange", "5"])
+        assert main() == 0
+        assert capsys.readouterr().out == "44\n"
 
 
 def test_python_dash_m_entry_point():
