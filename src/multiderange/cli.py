@@ -31,7 +31,6 @@ import json
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from itertools import islice
 from pathlib import Path
 
 from .bigint import from_decimal, to_decimal
@@ -51,11 +50,10 @@ from .oeis import OeisClient, OeisReport, _check_id
 from .recurrences import (
     DEFAULT_MAX_DEGREE,
     DEFAULT_MAX_ORDER,
-    extend_sequence,
     format_recurrence,
     guess_recurrence,
-    guess_seed,
     recurrence_to_json,
+    uniform_table,
 )
 from .sequences import SequenceSlice, format_bfile, format_plain, parse_terms_file
 
@@ -124,13 +122,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--value", type=_int_at_least(0), required=True)
     p.add_argument("--upto", type=_int_at_least(0), required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
-                   help=f"terms computed directly before guessing (default {DEFAULT_SEED})")
+                   help="terms computed directly before the first guess; while guessing "
+                   "fails, the seed doubles up to the size at which every candidate within "
+                   "--max-order and --max-degree has enough terms (201 at the defaults), then "
+                   f"the rest is computed directly (default {DEFAULT_SEED})")
     p.add_argument("--direct-only", action="store_true",
                    help="skip guessing; evaluate every term from the moment formula")
     p.add_argument("--no-fallback", action="store_true",
-                   help="fail instead of recomputing directly when guessing fails")
+                   help="fail at the first failed guess instead of growing the seed")
     p.add_argument("--recurrence-out", type=Path, metavar="PATH",
-                   help="write the guessed recurrence here instead of stderr")
+                   help="write the guessed recurrence here instead of stderr, "
+                   "or null when none was guessed")
     _add_search_caps(p)
     _add_format(p)
     p.set_defaults(run=_cmd_table)
@@ -251,26 +253,21 @@ def _cmd_prob(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    stream = uniform_terms(f"fixed_{args.fixed}", args.value)
-    terms = list(islice(stream, min(args.seed, args.upto + 1)))
-    recurrence = produced = None
-    if not (args.direct_only or args.upto < args.seed):
-        try:
-            guessed = guess_seed(SequenceSlice(0, tuple(terms)), args.max_order, args.max_degree)
-            # Extended terms stay Decimal through to the text: see extend_sequence.
-            decimal_seed = SequenceSlice(0, tuple(map(Decimal, terms)))
-            produced = extend_sequence(guessed, decimal_seed, args.upto)
-            recurrence = guessed
-        except MultiDerangeError as exc:
-            if args.no_fallback:
-                raise
-            print(f"guessing failed ({exc}); computing directly", file=sys.stderr)
-    if produced is None:
-        terms.extend(islice(stream, args.upto + 1 - len(terms)))
-        produced = SequenceSlice(0, tuple(terms))
+    table = uniform_table(
+        f"fixed_{args.fixed}", args.value, args.upto,
+        args.upto + 1 if args.direct_only else args.seed,
+        max_order=args.max_order, max_degree=args.max_degree,
+        fallback=not args.no_fallback,
+        number=Decimal,  # extended terms stay Decimal through to the text: see extend_sequence
+    )
+    grown = [length for length, _ in table.failures[1:]] + [table.seed_length]
+    for (length, exc), size in zip(table.failures, grown):
+        then = "computing directly" if size > args.upto else f"growing the seed to {size} terms"
+        print(f"guessing failed on {length} seed terms ({exc}); {then}", file=sys.stderr)
 
-    serialized = None if recurrence is None else recurrence_to_json(recurrence)
-    if serialized is not None and args.recurrence_out:
+    rec = table.recurrence
+    serialized = "null" if rec is None else recurrence_to_json(rec)
+    if args.recurrence_out:
         try:  # before the table, so that a usage error leaves stdout empty
             args.recurrence_out.write_text(serialized + "\n")
         except OSError as exc:
@@ -281,13 +278,13 @@ def _cmd_table(args) -> int:
             "fixed": args.fixed,
             "value": args.value,
             "offset": 0,
-            "terms": [to_decimal(t) for t in produced.terms],
-            "recurrence": None if serialized is None else json.loads(serialized),
+            "terms": [to_decimal(t) for t in table.terms.terms],
+            "recurrence": json.loads(serialized),
         })
     else:
-        _write_terms(args.format, produced)
+        _write_terms(args.format, table.terms)
 
-    if serialized is not None and not args.recurrence_out:
+    if rec is not None and not args.recurrence_out:
         print(serialized, file=sys.stderr)
     return EXIT_OK
 

@@ -63,17 +63,19 @@ Guessed recurrences are empirical: they are verified, never certified.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from decimal import localcontext
+from itertools import islice
 from math import gcd, isqrt, lcm
 
+from . import counting
 from .bigint import _EXACT, from_decimal, to_decimal
-from .counting import uniform_prefix
 from .errors import (
     HoldoutMismatch,
     InsufficientData,
     LeadingCoefficientZero,
+    MultiDerangeError,
     NonIntegralStep,
     RecurrenceNotFound,
 )
@@ -252,12 +254,75 @@ def guess_and_extend_uniform(
 ) -> tuple[SequenceSlice, Recurrence]:
     """guess_seed on the first seed_count terms of
     counting.uniform_terms(direction, fixed_value), then extend the int seed
-    through index upto."""
+    through index upto; a failed guess raises its error."""
     if upto < seed_count:
         raise ValueError("upto must reach past the seed terms")
-    seed = SequenceSlice(0, tuple(uniform_prefix(direction, fixed_value, seed_count)))
-    rec = guess_seed(seed, max_order, max_degree)
-    return extend_sequence(rec, seed, upto), rec
+    table = uniform_table(
+        direction, fixed_value, upto, seed_count,
+        max_order=max_order, max_degree=max_degree, fallback=False, number=int,
+    )
+    return table.terms, table.recurrence
+
+
+@dataclass(frozen=True)
+class UniformTable:
+    """The result of uniform_table.
+
+    seed_length counts the terms computed directly, and failures holds each
+    failed guess, in order, as (the seed length it used, its error).
+    """
+
+    terms: SequenceSlice
+    recurrence: Recurrence | None  # None: the seed is the whole table
+    seed_length: int
+    failures: tuple[tuple[int, MultiDerangeError], ...]
+
+
+def uniform_table(
+    direction: str,
+    value: int,
+    upto: int,
+    seed_count: int,
+    *,
+    max_order: int,
+    max_degree: int,
+    fallback: bool,
+    number: Callable[[int], object],
+) -> UniformTable:
+    """F(0) .. F(upto) of counting.uniform_terms(direction, value): a seed of
+    seed_count terms computed directly, then the recurrence guess_seed fits
+    to it, extended by extend_sequence.
+
+    The seed is converted by `number` before the extension, so the extended
+    terms have its type: int for library callers, Decimal for the text of
+    the `table` command (see extend_sequence).  Terms computed directly stay
+    int.  A seed that reaches index upto is the table, and nothing is
+    guessed.
+
+    When the guess or the extension fails, fallback=False raises its error.
+    Otherwise the seed grows with the next terms of the same iterator, so
+    no term is computed twice.  It doubles, by at least one term, up to
+    _terms_needed(max_order, max_degree) + GUESS_MARGIN terms (201 at the
+    default caps), the size at which every candidate within the caps has
+    enough shown terms.  A failure at that size or past it computes the
+    rest of the table directly.
+    """
+    stream = counting.uniform_terms(direction, value)
+    terms = list(islice(stream, min(seed_count, upto + 1)))
+    largest = _terms_needed(max_order, max_degree) + GUESS_MARGIN
+    failures = []
+    while len(terms) <= upto:
+        try:
+            rec = guess_seed(SequenceSlice(0, tuple(terms)), max_order, max_degree)
+            seed = SequenceSlice(0, tuple(map(number, terms)))
+            return UniformTable(extend_sequence(rec, seed, upto), rec, len(terms), tuple(failures))
+        except MultiDerangeError as exc:
+            if not fallback:
+                raise
+            failures.append((len(terms), exc))
+        size = upto + 1 if len(terms) >= largest else min(max(2 * len(terms), 1), largest)
+        terms.extend(islice(stream, min(size, upto + 1) - len(terms)))
+    return UniformTable(SequenceSlice(0, tuple(terms)), None, len(terms), tuple(failures))
 
 
 # -- serialization ----------------------------------------------------------

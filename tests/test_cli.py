@@ -267,6 +267,77 @@ class TestTable:
         assert calls == list(range(31))  # each term once
         assert out.split() == [str(count(3, k)) for k in range(31)]
 
+    @pytest.mark.parametrize("argv", [
+        ("--upto", "80", "--direct-only"),
+        ("--upto", "30", "--seed", "40"),
+        ("--upto", "20", "--seed", "5", "--max-order", "1", "--max-degree", "1"),
+    ], ids=["direct-only", "upto-below-seed", "seed-grows-into-table"])
+    def test_recurrence_out_is_null_when_nothing_is_guessed(self, capsys, tmp_path, argv):
+        out_file = tmp_path / "rec.json"
+        out_file.write_text('{"stale": true}\n')
+        code, out, _ = run_cli(
+            capsys, "table", "--fixed", "k", "--value", "1", *argv,
+            "--recurrence-out", str(out_file),
+        )
+        assert code == 0
+        assert json.loads(out_file.read_text()) is None
+        assert out.split() == [str(classic_derangement(n)) for n in range(int(argv[1]) + 1)]
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Counts the terms the table draws from the family iterator."""
+        from multiderange import counting
+
+        real, drawn = counting.uniform_terms, []
+
+        def counted(direction, value):
+            for term in real(direction, value):
+                drawn.append(term)
+                yield term
+
+        monkeypatch.setattr(counting, "uniform_terms", counted)
+        return drawn
+
+    def test_default_seed_grows_once_for_k4(self, capsys, draws):
+        argv = ("table", "--fixed", "k", "--value", "4", "--upto", "300")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0
+        assert len(draws) == 120
+        failed, recurrence = err.splitlines()
+        assert failed.startswith("guessing failed on 60 seed terms (")
+        assert failed.endswith("; growing the seed to 120 terms")
+        assert json.loads(recurrence)["order"] == 6
+        assert out == run_cli(capsys, *argv, "--direct-only")[1]
+
+    def test_k6_grows_to_every_feasible_candidate(self, capsys, draws):
+        code, out, err = run_cli(capsys, "table", "--fixed", "k", "--value", "6", "--upto", "250")
+        assert code == 0
+        assert len(draws) == 201
+        assert err.count("guessing failed") == 2
+        terms = out.split()
+        assert len(terms) == 251
+        assert [terms[210], terms[250]] == [str(uniform_count(n, 6)) for n in (210, 250)]
+
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_tiny_seed_grows_into_the_direct_table(self, capsys, draws, seed):
+        code, out, err = run_cli(
+            capsys, "table", "--fixed", "k", "--value", "2", "--upto", "20", "--seed", seed,
+        )
+        assert code == 0
+        assert len(draws) == 21
+        assert err.splitlines()[-1].endswith("; computing directly")
+        assert out.split() == [str(uniform_count(n, 2)) for n in range(21)]
+
+    def test_no_fallback_fails_on_the_first_seed(self, capsys, draws):
+        code, out, err = run_cli(
+            capsys, "table", "--fixed", "k", "--value", "4", "--upto", "300", "--no-fallback",
+        )
+        assert code == 3
+        assert len(draws) == 60
+        assert out == ""
+        assert err.startswith("error: no recurrence found")
+        assert "guessing failed" not in err
+
     def test_no_fallback_makes_failure_fatal(self, capsys):
         code, _, err = run_cli(
             capsys, "table", "--fixed", "k", "--value", "1", "--upto", "60",

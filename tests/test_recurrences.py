@@ -30,6 +30,7 @@ from multiderange.recurrences import (
     guess_recurrence,
     recurrence_from_json,
     recurrence_to_json,
+    uniform_table,
     verify_recurrence,
 )
 from multiderange.sequences import SequenceSlice
@@ -1013,6 +1014,38 @@ class TestGuessAndExtend:
         monkeypatch.setattr(counting, "uniform_terms", lambda direction, value: iter(poisoned))
         with pytest.raises(HoldoutMismatch):
             guess_and_extend_uniform("fixed_k", 9, 40, 100)
+
+
+class TestUniformTable:
+    @pytest.mark.parametrize("direction, value, seed_count, upto", [
+        ("fixed_k", 1, 40, 500),
+        ("fixed_n", 3, 40, 500),
+        ("fixed_n", 2, 25, 80),
+        ("fixed_k", 2, 40, 120),
+    ])
+    def test_int_table_is_guess_and_extend(self, direction, value, seed_count, upto):
+        table = uniform_table(
+            direction, value, upto, seed_count, max_order=DEFAULT_MAX_ORDER,
+            max_degree=DEFAULT_MAX_DEGREE, fallback=False, number=int,
+        )
+        ext, rec = guess_and_extend_uniform(direction, value, seed_count, upto)
+        assert table.terms == ext
+        assert all(type(t) is int for t in table.terms.terms)
+        assert table.recurrence == rec
+        assert (table.seed_length, table.failures) == (seed_count, ())
+
+    def test_seed_doubles_to_the_caps_then_the_rest_is_direct(self):
+        # order 2 cannot be fitted at order 1; every (1, <=1) candidate
+        # is feasible from _terms_needed(1, 1) + GUESS_MARGIN = 25 terms
+        table = uniform_table(
+            "fixed_k", 1, 60, 2, max_order=1, max_degree=1, fallback=True, number=int,
+        )
+        assert [length for length, _ in table.failures] == [2, 4, 8, 16, 25]
+        assert isinstance(table.failures[0][1], InsufficientData)
+        assert isinstance(table.failures[-1][1], RecurrenceNotFound)
+        assert table.recurrence is None
+        assert table.seed_length == 61
+        assert table.terms.terms == tuple(classic_derangement(n) for n in range(61))
 
 
 def _seed_check_agrees_with_full_check(seed):
