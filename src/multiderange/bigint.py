@@ -32,9 +32,11 @@ from decimal import (
 )
 
 # Exact integer arithmetic on Decimals: any rounding traps.  Decimal
-# operations that take no context argument (abs(), unary minus, ...) round
-# to the calling thread's context, so exact code uses only this context's
-# methods and the context-free copy_* methods.
+# operations that take no context argument (+, *, divmod, unary plus and
+# minus, abs(), ...) round to the calling thread's context, so exact code
+# either calls this context's methods and the context-free copy_* methods,
+# or runs those operators inside `with localcontext(_EXACT):`, as
+# recurrences.extend_sequence does.
 _EXACT = Context(
     prec=MAX_PREC,
     Emax=MAX_EMAX,

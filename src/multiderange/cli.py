@@ -10,6 +10,9 @@ arguments and cached data produces byte-identical output.  Exit codes:
      or non-UTF-8 cached b-file, ...)
   4  cross-check mismatch
 
+A reader that closes stdout early ends the console script by SIGPIPE,
+where the platform has it, with nothing on stderr.
+
 Output formats: plain (one decimal integer per line), bfile (lines
 "n a(n)"), structured (JSON).  Decimal expansions are correctly rounded
 decimal divisions of the exact fraction, never binary floating point.
@@ -40,12 +43,7 @@ from .counting import (
     uniform_terms,
     wrong_rank_probability,
 )
-from .errors import (
-    InsufficientData,
-    MultiDerangeError,
-    RecurrenceNotFound,
-    SequenceParseError,
-)
+from .errors import MultiDerangeError, SequenceParseError
 from .oeis import OeisClient, OeisReport, _check_id
 from .recurrences import (
     DEFAULT_MAX_DEGREE,
@@ -219,6 +217,14 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def run() -> None:
+    """The console script and `python -m multiderange`: main, whose code is
+    the exit status.  Where the platform has SIGPIPE its default action is
+    restored first, so a reader that closes stdout early ends the process
+    quietly, as it ends any filter, instead of a BrokenPipeError traceback."""
+    import signal  # only the entry point needs it; tests call main in-process
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 
@@ -300,14 +306,7 @@ def _cmd_guess(args) -> int:
     except SequenceParseError as exc:
         print(f"error: {args.terms_file}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        rec = guess_recurrence(terms, args.max_order, args.max_degree)
-    except InsufficientData as exc:
-        print(f"insufficient data: {exc}", file=sys.stderr)
-        return EXIT_COMPUTATION
-    except RecurrenceNotFound as exc:
-        print(f"not found: {exc}", file=sys.stderr)
-        return EXIT_COMPUTATION
+    rec = guess_recurrence(terms, args.max_order, args.max_degree)
     sys.stdout.write(format_recurrence(rec) + "\n")
     sys.stdout.write(recurrence_to_json(rec) + "\n")
     return EXIT_OK

@@ -29,22 +29,28 @@ class InsufficientData(MultiDerangeError):
 
 
 class RecurrenceNotFound(MultiDerangeError):
-    """The (order, degree) search space was exhausted without an accepted fit."""
+    """No candidate the terms could fit within the (order, degree) caps was
+    accepted; stopped_short says that some candidate within the caps had
+    too few terms to be fitted at all."""
 
-    def __init__(self, max_order: int, max_degree: int):
+    def __init__(self, max_order: int, max_degree: int, stopped_short: bool):
         super().__init__(
             f"no recurrence found with order <= {max_order} "
             f"and coefficient degree <= {max_degree}"
+            + ("; the scan stopped short of the caps for lack of terms" if stopped_short else "")
         )
         self.max_order = max_order
         self.max_degree = max_degree
 
 
 class HoldoutMismatch(MultiDerangeError):
-    """A guessed recurrence failed on terms withheld from the guesser."""
+    """A guessed recurrence failed on a row that reaches a term withheld
+    from the guesser; index is the shift n of the first such row."""
 
     def __init__(self, index: int):
-        super().__init__(f"guessed recurrence fails at held-out index {index}")
+        super().__init__(
+            f"guessed recurrence fails at n={index}, on a row that reaches a held-out term"
+        )
         self.index = index
 
 

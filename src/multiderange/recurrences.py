@@ -142,7 +142,8 @@ def guess_recurrence(
     degree past the term count can be fitted and the scan never builds
     them; if no candidate has that much data, InsufficientData reports the
     count order 1, degree 0 needs.  Raises RecurrenceNotFound, naming the
-    caps, when the whole grid is exhausted.
+    caps, when every candidate the terms cover is rejected; it says whether
+    some candidate within the caps lacked terms.
 
     Order r is screened once (_screen), up to the least degree that passed
     at order r-1; its degrees below the least that passes are rejected.
@@ -173,7 +174,8 @@ def guess_recurrence(
         rec = _fit(s, r, d)
         if rec is not None:
             return rec
-    raise RecurrenceNotFound(max_order, max_degree)
+    stopped_short = len(feasible) < max_order * (max_degree + 1)
+    raise RecurrenceNotFound(max_order, max_degree, stopped_short)
 
 
 def verify_recurrence(rec: Recurrence, s: SequenceSlice) -> VerificationReport:
@@ -232,10 +234,14 @@ def guess_seed(seed: SequenceSlice, max_order: int, max_degree: int) -> Recurren
 
     A miss raises HoldoutMismatch at the first failing shift rather than
     returning a fit that already failed once, so the recurrence returned
-    holds on the whole seed.
+    holds on the whole seed.  InsufficientData counts seed terms, the
+    shown ones plus those held out.
     """
     shown = SequenceSlice(seed.offset, seed.terms[:-GUESS_MARGIN])
-    rec = guess_recurrence(shown, max_order, max_degree)
+    try:
+        rec = guess_recurrence(shown, max_order, max_degree)
+    except InsufficientData as exc:
+        raise InsufficientData(exc.min_terms + GUESS_MARGIN, len(seed.terms)) from exc
     start = len(shown.terms) - rec.order
     report = verify_recurrence(rec, SequenceSlice(seed.offset + start, seed.terms[start:]))
     if not report.ok:

@@ -3,9 +3,11 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import time
+import urllib.error
 import urllib.request
 from fractions import Fraction
 from pathlib import Path
@@ -36,15 +38,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*argv, **env):
+def run_python(*argv, stdout=subprocess.PIPE, **env):
     """`python ...` in a fresh interpreter that imports the package from src,
-    with env added to the environment."""
+    with env added to the environment; stdout is captured unless given."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p
     ))
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True,
+        env=env, timeout=60,
     )
 
 
@@ -304,8 +307,12 @@ class TestTable:
         assert code == 0
         assert len(draws) == 120
         failed, recurrence = err.splitlines()
-        assert failed.startswith("guessing failed on 60 seed terms (")
-        assert failed.endswith("; growing the seed to 120 terms")
+        # the 50 shown terms cannot fit order 6, degree 7, which needs 72
+        assert failed == (
+            "guessing failed on 60 seed terms (no recurrence found with order <= 12 and "
+            "coefficient degree <= 12; the scan stopped short of the caps for lack of terms); "
+            "growing the seed to 120 terms"
+        )
         assert json.loads(recurrence)["order"] == 6
         assert out == run_cli(capsys, *argv, "--direct-only")[1]
 
@@ -325,7 +332,11 @@ class TestTable:
         )
         assert code == 0
         assert len(draws) == 21
-        assert err.splitlines()[-1].endswith("; computing directly")
+        # the seed counts its held-out terms: 13 shown ones plus 10
+        assert err.splitlines()[-1] == (
+            "guessing failed on 16 seed terms "
+            "(need at least 23 terms to attempt a fit, got 16); computing directly"
+        )
         assert out.split() == [str(uniform_count(n, 2)) for n in range(21)]
 
     def test_no_fallback_fails_on_the_first_seed(self, capsys, draws):
@@ -386,11 +397,12 @@ class TestGuessCommand:
     def test_insufficient_data_names_minimum(self, capsys, tmp_path):
         terms_file = tmp_path / "short.txt"
         terms_file.write_text("1\n2\n6\n")
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "guess", "--terms-file", str(terms_file), "--max-order", "5"
         )
-        assert code == 3
-        assert "13" in err
+        assert (code, out) == (3, "")
+        # a term file has no held-out terms: the count is the file's
+        assert err == "error: need at least 13 terms to attempt a fit, got 3\n"
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "guess", "--terms-file", str(tmp_path / "nope"))
@@ -422,7 +434,9 @@ class TestGuessCommand:
         )
         assert code == 3
         assert out == ""
-        assert err.startswith("not found: ")
+        assert err == (
+            "error: no recurrence found with order <= 2 and coefficient degree <= 0\n"
+        )
 
     def test_bfile_input_autodetected(self, capsys, tmp_path):
         terms_file = tmp_path / "terms_b.txt"
@@ -527,6 +541,20 @@ class TestOeisCheck:
         assert out == ""
         assert err.startswith(f"error: cannot write {cache_dir}: ")
         assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_unknown_remote_id_is_not_found(self, capsys, tmp_path, monkeypatch):
+        def urlopen(url, timeout):
+            raise urllib.error.HTTPError(url, 404, "Not Found", {}, None)
+
+        monkeypatch.delenv("MULTIDERANGE_OFFLINE", raising=False)
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        code, out, err = run_cli(
+            capsys, "oeis-check", "--id", "A999991", "--fixed", "k", "--value", "1",
+            "--count", "3", "--online", "--cache-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert out == "A999991: not found in the remote database\n"
+        assert err == ""
 
     def test_unknown_uncached_id_reports_offline(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("MULTIDERANGE_OEIS_CACHE", str(tmp_path))
@@ -865,6 +893,18 @@ def test_python_dash_m_entry_point():
     done = run_module("derange", "5")
     assert done.returncode == 0
     assert done.stdout == "44\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_by_sigpipe_without_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the first write
+    try:
+        done = run_python("-m", "multiderange", "deck", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.stderr == ""
+    assert done.returncode == -signal.SIGPIPE
 
 
 # Runs the commands that guess nothing, then guess, in one fresh interpreter,

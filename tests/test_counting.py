@@ -167,6 +167,11 @@ class TestUniformFamily:
         assert uniform_count(7, 0) == 1
         assert uniform_count(0, 0) == 1
 
+    @pytest.mark.parametrize("n, k", [(-1, 2), (2, -1)])
+    def test_negative_rejected(self, n, k):
+        with pytest.raises(ValueError):
+            uniform_count(n, k)
+
     def test_two_symbols_always_one(self):
         for k in range(26):
             assert uniform_count(2, k) == 1

@@ -136,8 +136,17 @@ class TestGuess:
     def test_not_found_on_recurrence_free_sequence(self):
         primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
                   59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113)
-        with pytest.raises(RecurrenceNotFound):
+        with pytest.raises(RecurrenceNotFound) as info:
             guess_recurrence(SequenceSlice(0, primes), 2, 2)
+        # 30 terms cover every candidate up to (2, 2), which needs 21
+        assert str(info.value) == "no recurrence found with order <= 2 and coefficient degree <= 2"
+        with pytest.raises(RecurrenceNotFound) as info:
+            guess_recurrence(SequenceSlice(0, primes[:15]), 2, 2)
+        # (1, 2), (2, 1) and (2, 2) need 17, 18 and 21 terms
+        assert str(info.value) == (
+            "no recurrence found with order <= 2 and coefficient degree <= 2; "
+            "the scan stopped short of the caps for lack of terms"
+        )
 
     def test_bad_caps_rejected(self):
         with pytest.raises(ValueError):
@@ -275,6 +284,7 @@ class TestGuess:
         with pytest.raises(RecurrenceNotFound) as info:
             guess_recurrence(SequenceSlice(0, primes), 2000, 2000)
         assert (info.value.max_order, info.value.max_degree) == (2000, 2000)
+        assert str(info.value).endswith("; the scan stopped short of the caps for lack of terms")
         assert len(primes) == 40 and len(seen) <= 40 * 41
         seen.clear()
         with pytest.raises(InsufficientData) as too_short:
@@ -752,12 +762,12 @@ def test_first_64_fit_primes_by_trial_division():
 @pytest.mark.parametrize(
     "n",
     [2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-     341550071728321, 3825123056546413051, 561],
+     341550071728321, 3825123056546413051, 561, 1, 0],
 )
 def test_is_prime_rejects_strong_pseudoprimes(n):
     # The first eight are the smallest strong pseudoprimes to the first
     # 1, 2, ..., 9 prime bases (2, then 2 and 3, ..., up to 23); 561 is the
-    # smallest Carmichael number.
+    # smallest Carmichael number; 1 and 0 are below the first prime.
     assert not recurrences._is_prime(n)
 
 
@@ -1005,6 +1015,13 @@ class TestGuessAndExtend:
         with pytest.raises(ValueError):
             guess_and_extend_uniform("fixed_k", 1, 40, 10)
 
+    def test_short_seed_counts_seed_terms(self):
+        # 6 shown terms; order 1, degree 0 needs 13 shown, so 23 in the seed
+        with pytest.raises(InsufficientData) as info:
+            guess_and_extend_uniform("fixed_k", 2, 16, 30)
+        assert (info.value.min_terms, info.value.got) == (23, 16)
+        assert str(info.value) == "need at least 23 terms to attempt a fit, got 16"
+
     def test_holdout_mismatch_surfaces(self, monkeypatch):
         # feed the guesser a prefix that looks geometric but breaks inside
         # the held-out tail
@@ -1042,6 +1059,7 @@ class TestUniformTable:
         )
         assert [length for length, _ in table.failures] == [2, 4, 8, 16, 25]
         assert isinstance(table.failures[0][1], InsufficientData)
+        assert (table.failures[0][1].min_terms, table.failures[0][1].got) == (23, 2)
         assert isinstance(table.failures[-1][1], RecurrenceNotFound)
         assert table.recurrence is None
         assert table.seed_length == 61
@@ -1087,6 +1105,19 @@ class TestHeldOutCheck:
         # Row n reads s(n), ..., s(n + order): each row whose window reaches
         # past the shown terms, and no other.
         assert rows == list(range(shown_end - rec.order, seed.end - rec.order))
+
+    def test_mismatch_names_the_row_not_a_held_out_index(self):
+        # the held-out terms are 40..49; row 39 reads s(39) and s(40)
+        terms = [2**n for n in range(50)]
+        terms[40] += 1
+        with pytest.raises(HoldoutMismatch) as info:
+            recurrences.guess_seed(
+                SequenceSlice(0, tuple(terms)), DEFAULT_MAX_ORDER, DEFAULT_MAX_DEGREE
+            )
+        assert info.value.index == 39
+        assert str(info.value) == (
+            "guessed recurrence fails at n=39, on a row that reaches a held-out term"
+        )
 
     def test_poisoned_seed_fails_where_the_full_check_does(self):
         _seed_check_agrees_with_full_check(
@@ -1171,6 +1202,12 @@ class TestSerialization:
             == "s(n+2) - (n + 1)*s(n+1) - (n + 1)*s(n) = 0"
         )
         assert format_recurrence(FACTORIAL_REC) == "s(n+1) - (n + 1)*s(n) = 0"
+        # a zero polynomial, and a zero coefficient inside one, are left out
+        assert format_recurrence(Recurrence(((-1,), (), (1,)))) == "s(n+2) - s(n) = 0"
+        assert (
+            format_recurrence(Recurrence(((-1, 0, -1), (1,))))
+            == "s(n+1) - (n^2 + 1)*s(n) = 0"
+        )
 
     def test_rendering_under_default_digit_limit(self, default_digit_limit, limit_free_text):
         big = 10**5000
