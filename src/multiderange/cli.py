@@ -5,7 +5,8 @@ arguments and cached data produces byte-identical output.  Exit codes:
 
   0  success (including an offline cross-check verdict)
   2  usage error (bad flags, malformed ids, unreadable term files,
-     an unwritable --recurrence-out path or OEIS cache directory)
+     an unwritable --recurrence-out path, an unreadable or unwritable
+     OEIS cache)
   3  computation error (search exhausted, oracle bound exceeded, a malformed
      or non-UTF-8 cached b-file, ...)
   4  cross-check mismatch
@@ -317,8 +318,8 @@ def _cmd_oeis_check(args) -> int:
     client = OeisClient(cache_dir=args.cache_dir, online=args.online)
     try:
         report = client.cross_check(local, args.id, args.count)
-    except OSError as exc:  # filling its cache is the client's only file system write
-        print(f"error: cannot write {client.cache_dir}: {exc}", file=sys.stderr)
+    except OSError as exc:  # reading or filling its cache: the exception names which
+        print(f"error: cannot use the OEIS cache {client.cache_dir}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.format == "structured":
         _print_json(dataclasses.asdict(report))

@@ -14,6 +14,9 @@ range is compared, an iterator is drawn no further than that overlap or the
 first mismatch, and an offline or not-found verdict draws nothing.  So a
 long --count costs only the terms the published b-file has.
 
+A client takes a cache directory, an online switch and a transport: a
+callable from the b-file URL to its bytes (default: urllib, 10 s timeout).
+
 Environment variables:
   MULTIDERANGE_OEIS_BASE_URL  override the remote endpoint (fixture servers)
   MULTIDERANGE_OEIS_CACHE     override the cache directory
@@ -38,7 +41,7 @@ _ID_PATTERN = re.compile(r"\AA\d{6}\Z")
 DEFAULT_BASE_URL = "https://oeis.org"
 DEFAULT_TIMEOUT = 10.0
 
-Transport = Callable[[str, float], bytes]
+Transport = Callable[[str], bytes]
 
 
 @dataclass(frozen=True)
@@ -72,16 +75,11 @@ class OeisClient:
         cache_dir: Path | str | None = None,
         *,
         online: bool = False,
-        base_url: str | None = None,
-        timeout: float = DEFAULT_TIMEOUT,
         transport: Transport | None = None,
     ):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
         self.online = online and not os.environ.get("MULTIDERANGE_OFFLINE")
-        self.base_url = base_url or os.environ.get(
-            "MULTIDERANGE_OEIS_BASE_URL", DEFAULT_BASE_URL
-        )
-        self.timeout = timeout
+        self.base_url = os.environ.get("MULTIDERANGE_OEIS_BASE_URL", DEFAULT_BASE_URL)
         self._transport = transport or _http_get
 
     def fetch_terms(self, sequence_id: str) -> SequenceSlice:
@@ -148,7 +146,7 @@ class OeisClient:
         last_error: Exception | None = None
         for _ in range(2):  # one retry
             try:
-                return self._transport(url, self.timeout)
+                return self._transport(url)
             except UnknownSequence:
                 raise
             except Exception as exc:  # noqa: BLE001 - any transport failure degrades
@@ -191,14 +189,14 @@ def _parse_bfile_bytes(data: bytes, source) -> SequenceSlice:
     return parse_bfile(text)
 
 
-def _http_get(url: str, timeout: float) -> bytes:
+def _http_get(url: str) -> bytes:
     # Imported here: the network stack costs more to import than an offline
     # command takes to run.
     import urllib.error
     import urllib.request
 
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as response:
+        with urllib.request.urlopen(url, timeout=DEFAULT_TIMEOUT) as response:
             return response.read()
     except urllib.error.HTTPError as exc:
         if exc.code == 404:

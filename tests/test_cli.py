@@ -539,8 +539,27 @@ class TestOeisCheck:
         )
         assert code == 2
         assert out == ""
-        assert err.startswith(f"error: cannot write {cache_dir}: ")
+        assert err.startswith(f"error: cannot use the OEIS cache {cache_dir}: ")
         assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_unreadable_cache_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        # Patched: root reads a file whatever its mode.
+        def read_bytes(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        cached = tmp_path / "b000166.txt"
+        cached.write_bytes(b"0 1\n")
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        code, out, err = run_cli(
+            capsys, "oeis-check", "--id", "A000166", "--fixed", "k", "--value", "1",
+            "--count", "5", "--cache-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: cannot use the OEIS cache {tmp_path}: "
+            f"[Errno 13] Permission denied: '{cached}'\n"
+        )
 
     def test_unknown_remote_id_is_not_found(self, capsys, tmp_path, monkeypatch):
         def urlopen(url, timeout):

@@ -1,3 +1,4 @@
+import io
 import os
 import urllib.error
 import urllib.request
@@ -81,7 +82,7 @@ class CountingTransport:
         self.payload = payload
         self.calls = 0
 
-    def __call__(self, url, timeout):
+    def __call__(self, url):
         self.calls += 1
         if isinstance(self.payload, Exception):
             raise self.payload
@@ -377,7 +378,7 @@ class TestEndpointOverride:
     def test_base_url_env_var_controls_request_url(self, tmp_path, monkeypatch):
         seen = []
 
-        def transport(url, timeout):
+        def transport(url):
             seen.append(url)
             return b"0 1\n1 2\n"
 
@@ -386,23 +387,22 @@ class TestEndpointOverride:
         client.fetch_terms("A999991")
         assert seen == ["https://mirror.test/A999991/b999991.txt"]
 
-    def test_explicit_base_url_beats_default(self, tmp_path):
-        seen = []
-
-        def transport(url, timeout):
-            seen.append(url)
-            return b"0 1\n1 2\n"
-
-        client = OeisClient(
-            cache_dir=tmp_path, online=True, base_url="http://localhost:9", transport=transport
-        )
-        client.fetch_terms("A999989")
-        assert seen == ["http://localhost:9/A999989/b999989.txt"]
-
 
 class TestHttpGet:
-    """The default transport maps a 404 to UnknownSequence and lets every
-    other HTTP error through."""
+    """The default transport waits 10 s, maps a 404 to UnknownSequence and
+    lets every other HTTP error through."""
+
+    def test_default_transport_waits_ten_seconds(self, tmp_path, monkeypatch):
+        timeouts = []
+
+        def urlopen(url, timeout):
+            timeouts.append(timeout)
+            return io.BytesIO(b"0 1\n1 2\n")
+
+        monkeypatch.delenv("MULTIDERANGE_OFFLINE", raising=False)
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        OeisClient(cache_dir=tmp_path, online=True).fetch_terms("A999984")
+        assert timeouts == [10.0]
 
     @staticmethod
     def failing_urlopen(code):
@@ -413,10 +413,10 @@ class TestHttpGet:
     def test_not_found_is_unknown_sequence(self, monkeypatch):
         monkeypatch.setattr(urllib.request, "urlopen", self.failing_urlopen(404))
         with pytest.raises(UnknownSequence):
-            oeis._http_get("https://example.invalid/b999999.txt", 1.0)
+            oeis._http_get("https://example.invalid/b999999.txt")
 
     def test_server_error_is_raised(self, monkeypatch):
         monkeypatch.setattr(urllib.request, "urlopen", self.failing_urlopen(500))
         with pytest.raises(urllib.error.HTTPError) as info:
-            oeis._http_get("https://example.invalid/b000166.txt", 1.0)
+            oeis._http_get("https://example.invalid/b000166.txt")
         assert info.value.code == 500
