@@ -14,13 +14,13 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-from multiderange.bigint import to_decimal
 from multiderange.counting import (
     brute_force_count,
     classic_derangement,
     macmahon_count,
-    uniform_fixed_k_prefix,
+    uniform_prefix,
 )
+from multiderange.sequences import SequenceSlice, format_bfile
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "src" / "multiderange" / "data" / "oeis"
 
@@ -36,7 +36,7 @@ BRUTE_LIMIT = 12  # raised beyond the default so one extra term is checked
 
 
 def cross_checked_uniform(k: int, upto: int) -> list[int]:
-    terms = uniform_fixed_k_prefix(k, upto + 1)
+    terms = uniform_prefix("fixed_k", k, upto + 1)
     for n, value in enumerate(terms):
         if n * k <= BRUTE_LIMIT:
             assert brute_force_count((k,) * n, limit=BRUTE_LIMIT) == value, (k, n)
@@ -47,7 +47,7 @@ def cross_checked_uniform(k: int, upto: int) -> list[int]:
 
 def write_bfile(name: str, terms: list[int]) -> None:
     path = OUT_DIR / name
-    path.write_text("".join(f"{n} {to_decimal(v)}\n" for n, v in enumerate(terms)))
+    path.write_text(format_bfile(SequenceSlice(0, tuple(terms))))
     print(f"wrote {path} ({len(terms)} terms)")
 
 

@@ -69,7 +69,6 @@ class Multiset:
 @dataclass(frozen=True)
 class DerangementCount:
     value: int
-    instance: Multiset
 
 
 def as_multiset(m: Multiset | Iterable[int]) -> Multiset:
@@ -116,7 +115,7 @@ def multiset_derangement(m: Multiset | Iterable[int]) -> DerangementCount:
     groups: dict[int, int] = {}
     for a in ms.multiplicities:
         groups[a] = groups.get(a, 0) + 1
-    return DerangementCount(_grouped_count(groups), ms)
+    return DerangementCount(_grouped_count(groups))
 
 
 def uniform_count(n: int, k: int) -> int:
@@ -173,10 +172,8 @@ def _grouped_count(groups: dict[int, int]) -> int:
     deg_r = sum(groups)
     deg_q = sum(a * c for a, c in groups.items())
     scale = prod(factorial(a) ** c for a, c in groups.items())
-    # Every slot has at least 8 bits, so a longer Q skips forming the bound.
-    if deg_q < _PACKED_MAX_BITS // 8 and (
-        (deg_q + 1) * 8 * (width := _packed_slot_bytes(groups)) <= _PACKED_MAX_BITS
-    ):
+    width = _packed_slot_bytes(groups)
+    if (deg_q + 1) * 8 * width <= _PACKED_MAX_BITS:
         q = _product_packed(groups, deg_q, width)
     elif deg_r < _RECURRENCE_MAX_DEG_R and deg_q >= _RECURRENCE_MIN_REPEAT * deg_r:
         q = _product_recurrence(groups, deg_q, scale)
@@ -300,7 +297,12 @@ def uniform_prefix(direction: str, value: int, count: int) -> list[int]:
 
 
 def uniform_fixed_k_prefix(k: int, count: int) -> list[int]:
-    """[F(0), ..., F(count-1)] where F(n) counts derangements of k^n copies."""
+    """[F(0), ..., F(count-1)] where F(n) counts derangements of k^n copies.
+
+    uniform_prefix("fixed_k", k, count) under its old name.  Its only caller
+    is perfbench/workloads.py; it can go once the benchmark calls
+    uniform_prefix.
+    """
     return uniform_prefix("fixed_k", k, count)
 
 
@@ -320,7 +322,7 @@ def _signed_count(moment: int, total: int, scale: int = 1) -> int:
     return quotient
 
 
-def brute_force_count(m: Multiset | Iterable[int], *, limit: int | None = None) -> int:
+def brute_force_count(m: Multiset | Iterable[int], *, limit: int = BRUTE_FORCE_LIMIT) -> int:
     """Count derangements by recursive symbol-count descent.
 
     Walks distinct multiset permutations only (equal copies are never
@@ -328,10 +330,9 @@ def brute_force_count(m: Multiset | Iterable[int], *, limit: int | None = None) 
     symbol in place.
     """
     ms = as_multiset(m)
-    bound = BRUTE_FORCE_LIMIT if limit is None else limit
     total = ms.total
-    if total > bound:
-        raise InstanceTooLarge(f"total {total} exceeds brute-force bound {bound}")
+    if total > limit:
+        raise InstanceTooLarge(f"total {total} exceeds brute-force bound {limit}")
     reference = [i for i, a in enumerate(ms.multiplicities) for _ in range(a)]
     remaining = list(ms.multiplicities)
     n_symbols = len(remaining)
@@ -354,8 +355,8 @@ def brute_force_count(m: Multiset | Iterable[int], *, limit: int | None = None) 
 def macmahon_count(
     m: Multiset | Iterable[int],
     *,
-    max_symbols: int | None = None,
-    max_multiplicity: int | None = None,
+    max_symbols: int = MACMAHON_MAX_SYMBOLS,
+    max_multiplicity: int = MACMAHON_MAX_MULTIPLICITY,
 ) -> int:
     """Count derangements by coefficient extraction from the classical
     generating function 1 / (1 - e_2 - 2*e_3 - ... - (n-1)*e_n).
@@ -367,15 +368,11 @@ def macmahon_count(
     """
     ms = as_multiset(m)
     n = len(ms)
-    sym_bound = MACMAHON_MAX_SYMBOLS if max_symbols is None else max_symbols
-    mult_bound = (
-        MACMAHON_MAX_MULTIPLICITY if max_multiplicity is None else max_multiplicity
-    )
-    if n > sym_bound:
-        raise InstanceTooLarge(f"{n} symbols exceeds bound {sym_bound}")
-    if n and max(ms.multiplicities) > mult_bound:
+    if n > max_symbols:
+        raise InstanceTooLarge(f"{n} symbols exceeds bound {max_symbols}")
+    if n and max(ms.multiplicities) > max_multiplicity:
         raise InstanceTooLarge(
-            f"multiplicity {max(ms.multiplicities)} exceeds bound {mult_bound}"
+            f"multiplicity {max(ms.multiplicities)} exceeds bound {max_multiplicity}"
         )
     if n == 0:
         return 1

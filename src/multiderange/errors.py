@@ -25,7 +25,6 @@ class InsufficientData(MultiDerangeError):
             f"need at least {min_terms} terms to attempt a fit, got {got}"
         )
         self.min_terms = min_terms
-        self.got = got
 
 
 class RecurrenceNotFound(MultiDerangeError):
@@ -39,8 +38,6 @@ class RecurrenceNotFound(MultiDerangeError):
             f"and coefficient degree <= {max_degree}"
             + ("; the scan stopped short of the caps for lack of terms" if stopped_short else "")
         )
-        self.max_order = max_order
-        self.max_degree = max_degree
 
 
 class HoldoutMismatch(MultiDerangeError):

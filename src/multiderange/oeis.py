@@ -17,10 +17,12 @@ long --count costs only the terms the published b-file has.
 A client takes a cache directory, an online switch and a transport: a
 callable from the b-file URL to its bytes (default: urllib, 10 s timeout).
 
-Environment variables:
+Environment variables (an empty value counts as unset):
   MULTIDERANGE_OEIS_BASE_URL  override the remote endpoint (fixture servers)
   MULTIDERANGE_OEIS_CACHE     override the cache directory
   MULTIDERANGE_OFFLINE        any nonempty value disables network globally
+  XDG_CACHE_HOME              the default cache's parent, if an absolute path
+                              (else ~/.cache, as the XDG Base Directory spec says)
 """
 from __future__ import annotations
 
@@ -58,7 +60,9 @@ def default_cache_dir() -> Path:
     override = os.environ.get("MULTIDERANGE_OEIS_CACHE")
     if override:
         return Path(override)
-    base = Path(os.environ.get("XDG_CACHE_HOME", "~/.cache")).expanduser()
+    base = Path(os.environ.get("XDG_CACHE_HOME", ""))
+    if not base.is_absolute():
+        base = Path.home() / ".cache"
     return base / "multiderange" / "oeis"
 
 
@@ -79,7 +83,7 @@ class OeisClient:
     ):
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
         self.online = online and not os.environ.get("MULTIDERANGE_OFFLINE")
-        self.base_url = os.environ.get("MULTIDERANGE_OEIS_BASE_URL", DEFAULT_BASE_URL)
+        self.base_url = os.environ.get("MULTIDERANGE_OEIS_BASE_URL") or DEFAULT_BASE_URL
         self._transport = transport or _http_get
 
     def fetch_terms(self, sequence_id: str) -> SequenceSlice:

@@ -19,7 +19,7 @@ from 64 up each operand is packed into a single big number (Kronecker
 substitution): zero-padded base-10^w slots of a `Decimal`, which libmpdec
 multiplies with its number-theoretic transform in softly linear time, where
 CPython's own int multiply would be Karatsuba.  Both paths are exact and
-give identical coefficients; see _convolve for the 64.
+give identical coefficients; see int_mul for the 64.
 
 Products of many factors, powers included, are evaluated over a balanced
 tree: pairing factors of similar degree keeps intermediate degrees (and
@@ -37,11 +37,8 @@ from .bigint import _EXACT, from_decimal, to_decimal
 
 Poly = tuple[Fraction, ...]
 
-ZERO: tuple[Fraction, ...] = ()
-ONE: tuple[Fraction, ...] = (Fraction(1),)
-
 # Products whose shorter operand has fewer coefficients than this run the
-# schoolbook loop; see _convolve.
+# schoolbook loop; see int_mul.
 _KRONECKER_MIN_LEN = 64
 
 
@@ -103,7 +100,17 @@ def int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Exact convolution product of integer polynomials."""
     if not a or not b:
         return []
-    return _convolve(a, b)
+    # One test on the shorter operand.  Measured on products of Laguerre
+    # factors (multiplicities 1-6), schoolbook vs decimal slots:
+    # square products cross over between 64 and 72 coefficients (60x60:
+    # 0.62 vs 0.78 ms; 72x72: 1.18 vs 0.74 ms; 128x128: 5.1 vs 2.5 ms).
+    # Long x short products with a short operand below 64 stay in
+    # schoolbook, because the packing cost grows with the longer operand:
+    # 1025x9 2.0 vs 110 ms, 1025x49 17 vs 72 ms; 1025x64 goes to Kronecker,
+    # though schoolbook still wins there (27 vs 76 ms).
+    if min(len(a), len(b)) < _KRONECKER_MIN_LEN:
+        return _convolve_schoolbook(a, b)
+    return _convolve_decimal(a, b)
 
 
 def int_product(factors: Sequence[Sequence[int]]) -> Sequence[int]:
@@ -127,20 +134,6 @@ def int_product(factors: Sequence[Sequence[int]]) -> Sequence[int]:
             paired.append(items[-1])
         items = paired
     return items[0]
-
-
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    # One test on the shorter operand.  Measured on products of Laguerre
-    # factors (multiplicities 1-6), schoolbook vs decimal slots:
-    # square products cross over between 64 and 72 coefficients (60x60:
-    # 0.62 vs 0.78 ms; 72x72: 1.18 vs 0.74 ms; 128x128: 5.1 vs 2.5 ms).
-    # Long x short products with a short operand below 64 stay in
-    # schoolbook, because the packing cost grows with the longer operand:
-    # 1025x9 2.0 vs 110 ms, 1025x49 17 vs 72 ms; 1025x64 goes to Kronecker,
-    # though schoolbook still wins there (27 vs 76 ms).
-    if min(len(a), len(b)) < _KRONECKER_MIN_LEN:
-        return _convolve_schoolbook(a, b)
-    return _convolve_decimal(a, b)
 
 
 def _convolve_schoolbook(a: Sequence[int], b: Sequence[int]) -> list[int]:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from multiderange import oeis
 from multiderange.counting import (
     classic_derangement,
-    uniform_fixed_k_prefix,
     uniform_prefix,
     uniform_terms,
 )
@@ -165,6 +164,18 @@ class TestFetch:
         monkeypatch.setenv("MULTIDERANGE_OEIS_CACHE", str(tmp_path / "elsewhere"))
         assert default_cache_dir() == tmp_path / "elsewhere"
 
+    def test_xdg_cache_home_counts_only_when_absolute(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MULTIDERANGE_OEIS_CACHE", "")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        home_cache = tmp_path / "home" / ".cache" / "multiderange" / "oeis"
+        for value, expected in [
+            ("", home_cache),
+            ("rel/dir", home_cache),
+            (str(tmp_path / "xdg"), tmp_path / "xdg" / "multiderange" / "oeis"),
+        ]:
+            monkeypatch.setenv("XDG_CACHE_HOME", value)
+            assert default_cache_dir() == expected, value
+
 
 class TestCrossCheck:
     def test_derangements_match(self, tmp_path):
@@ -177,14 +188,14 @@ class TestCrossCheck:
     def test_uniform_families_match_fixtures(self, tmp_path):
         client = OeisClient(cache_dir=tmp_path)
         for sequence_id, k in (("A000459", 2), ("A059073", 3), ("A059074", 4), ("A123297", 5)):
-            local = SequenceSlice(0, tuple(uniform_fixed_k_prefix(k, 10)))
+            local = SequenceSlice(0, tuple(uniform_prefix("fixed_k", k, 10)))
             report = client.cross_check(local, sequence_id)
             assert report.verdict == "match", sequence_id
             assert report.compared == 10
 
     def test_overlap_is_capped_by_remote_range(self, tmp_path):
         client = OeisClient(cache_dir=tmp_path)
-        local = SequenceSlice(0, tuple(uniform_fixed_k_prefix(3, 20)))
+        local = SequenceSlice(0, tuple(uniform_prefix("fixed_k", 3, 20)))
         report = client.cross_check(local, "A059073")
         assert report.verdict == "match"
         assert report.compared == 13  # published entries stop at n = 12
@@ -386,6 +397,18 @@ class TestEndpointOverride:
         client = OeisClient(cache_dir=tmp_path, online=True, transport=transport)
         client.fetch_terms("A999991")
         assert seen == ["https://mirror.test/A999991/b999991.txt"]
+
+    def test_empty_base_url_env_var_means_the_default(self, tmp_path, monkeypatch):
+        seen = []
+
+        def transport(url):
+            seen.append(url)
+            return b"0 1\n1 2\n"
+
+        monkeypatch.setenv("MULTIDERANGE_OEIS_BASE_URL", "")
+        client = OeisClient(cache_dir=tmp_path, online=True, transport=transport)
+        client.fetch_terms("A999990")
+        assert seen == ["https://oeis.org/A999990/b999990.txt"]
 
 
 class TestHttpGet:

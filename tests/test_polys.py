@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from multiderange import polys
-from multiderange.polys import ONE, ZERO, add, mul, poly, power, product
+from multiderange.polys import add, mul, poly, power, product
 
 X_MINUS = poly([1, -1])  # 1 - x
 X_PLUS = poly([1, 1])  # 1 + x
@@ -49,11 +49,11 @@ operands = st.lists(coefficients, min_size=1, max_size=60)
 
 class TestBasics:
     def test_add_cancellation(self):
-        assert add(X_MINUS, poly([0, 1])) == ONE
+        assert add(X_MINUS, poly([0, 1])) == poly([1])
 
     def test_add_identity(self):
         p = poly([3, Fraction(1, 2), 7])
-        assert add(ZERO, p) == p
+        assert add((), p) == p
 
     def test_add_doubling(self):
         assert add(X_MINUS, X_MINUS) == poly([2, -2])
@@ -62,20 +62,20 @@ class TestBasics:
         assert mul(X_MINUS, X_MINUS) == poly([1, -2, 1])
 
     def test_mul_annihilator(self):
-        assert mul(poly([5, 1, 3]), ZERO) == ZERO
+        assert mul(poly([5, 1, 3]), ()) == ()
 
     def test_mul_difference_of_squares(self):
         assert mul(X_PLUS, X_MINUS) == poly([1, 0, -1])
 
     def test_empty_product(self):
-        assert product([]) == ONE
+        assert product([]) == poly([1])
 
     def test_product_pair(self):
         assert product([X_MINUS, X_MINUS]) == poly([1, -2, 1])
 
     def test_power_zero(self):
-        assert power(X_MINUS, 0) == ONE
-        assert power(ZERO, 0) == ONE
+        assert power(X_MINUS, 0) == poly([1])
+        assert power((), 0) == poly([1])
 
     def test_power_square(self):
         assert power(X_MINUS, 2) == poly([1, -2, 1])
@@ -86,7 +86,7 @@ class TestBasics:
 
     def test_poly_strips_trailing_zeros(self):
         assert poly([1, 2, 0, 0]) == poly([1, 2])
-        assert poly([0, 0]) == ZERO
+        assert poly([0, 0]) == ()
 
 
 class TestProperties:
@@ -178,7 +178,7 @@ class TestConvolutionPaths:
         assert poly(polys.int_mul(a, b)) == mul(poly(a), poly(b))
         assert polys.int_product([a, b, b]) == polys.int_mul(polys.int_mul(a, b), b)
         assert power(poly(b), 3) == poly(polys.int_product([b, b, b]))
-        assert power(poly(b), 0) == ONE
+        assert power(poly(b), 0) == poly([1])
         assert polys.int_mul(a, []) == []
 
     def test_scaled_integers_roundtrip(self):
