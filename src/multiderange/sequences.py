@@ -10,6 +10,11 @@ supported:
   * b-file - lines "n a(n)" with a single separating space, consecutive
     ascending n, newline-terminated, no blank lines.
 
+plain_lines and bfile_lines render a slice one line at a time, each term's
+text made only when its line is taken, so a writer that consumes them line
+by line never holds more than one line of text; format_plain and
+format_bfile join the same lines into one string.
+
 The b-file format doubles as the on-disk cache format of the OEIS client,
 so parsing is lenient about comment lines starting with '#'.
 """
@@ -42,14 +47,20 @@ class SequenceSlice:
         return len(self.terms)
 
 
+def bfile_lines(s: SequenceSlice) -> Iterator[str]:
+    return (f"{n} {to_decimal(v)}\n" for n, v in zip(range(s.offset, s.end), s.terms))
+
+
+def plain_lines(s: SequenceSlice) -> Iterator[str]:
+    return (f"{to_decimal(v)}\n" for v in s.terms)
+
+
 def format_bfile(s: SequenceSlice) -> str:
-    return "".join(
-        f"{n} {to_decimal(v)}\n" for n, v in zip(range(s.offset, s.end), s.terms)
-    )
+    return "".join(bfile_lines(s))
 
 
 def format_plain(s: SequenceSlice) -> str:
-    return "".join(f"{to_decimal(v)}\n" for v in s.terms)
+    return "".join(plain_lines(s))
 
 
 def parse_bfile(text: str) -> SequenceSlice:

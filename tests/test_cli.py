@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -7,18 +8,28 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import urllib.error
 import urllib.request
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from multiderange.bigint import to_decimal
 from multiderange import cli
 from multiderange.cli import build_parser, decimal_approx, main
 from multiderange.counting import classic_derangement, uniform_count, uniform_prefix
-from multiderange.recurrences import guess_and_extend_uniform, recurrence_to_json
+from multiderange.recurrences import (
+    DEFAULT_MAX_DEGREE,
+    DEFAULT_MAX_ORDER,
+    guess_and_extend_uniform,
+    recurrence_to_json,
+    uniform_table,
+)
 from multiderange.sequences import (
     SequenceSlice,
     format_bfile,
@@ -38,16 +49,20 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def python_env(**env):
+    """os.environ with env added and the package's src first on PYTHONPATH."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
+    ))
+
+
 def run_python(*argv, stdout=subprocess.PIPE, **env):
     """`python ...` in a fresh interpreter that imports the package from src,
     with env added to the environment; stdout is captured unless given."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p
-    ))
     return subprocess.run(
         [sys.executable, *argv], stdout=stdout, stderr=subprocess.PIPE, text=True,
-        env=env, timeout=60,
+        env=python_env(**env), timeout=60,
     )
 
 
@@ -725,6 +740,82 @@ class TestTableTextMatchesIntTerms:
         assert err == recurrence_to_json(rec) + "\n"
 
 
+class CharCount(io.TextIOBase):
+    """A text stream that keeps nothing and counts the characters written."""
+
+    chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+class TestStreamedTable:
+    """`table` writes its text as it renders it: the output never exists
+    whole, and its bytes are those of the one-shot renderers."""
+
+    @pytest.fixture(scope="class")
+    def warmed_up(self):
+        # A guessed table first, so that the lazy imports (numpy) and the
+        # shared parser are in place before anything is traced.
+        argv = ["table", "--fixed", "k", "--value", "2", "--upto", "40", "--seed", "25"]
+        with contextlib.redirect_stdout(CharCount()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 0
+
+    @pytest.mark.parametrize("fmt", ["plain", "bfile", "structured"])
+    def test_traced_peak_stays_below_the_text(self, warmed_up, fmt):
+        """In every format the traced peak of a 600-term k = 4 table (1.7 MB
+        of text) stays below the size of its text: the exact terms, as
+        Decimals, take about 0.45 byte per digit, and rendering adds a line
+        (or a JSON piece) and one write of 64 K characters or more.  Joining the
+        whole text held it at least twice, and the structured document held
+        a list of every term's text as well."""
+        sink = CharCount()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["table", "--fixed", "k", "--value", "4", "--upto", "600",
+                             "--seed", "110", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.chars > 1_700_000
+        assert peak < sink.chars
+
+    @given(
+        fixed=st.sampled_from(["k", "n"]),
+        value=st.integers(min_value=0, max_value=6),
+        upto=st.integers(min_value=0, max_value=40),
+        option=st.sampled_from([(), ("--seed", "0"), ("--direct-only",)]),
+        fmt=st.sampled_from(["plain", "bfile", "structured"]),
+    )
+    def test_same_bytes_as_the_one_shot_renderers(self, fixed, value, upto, option, fmt):
+        seed = {(): cli.DEFAULT_SEED, ("--seed", "0"): 0}.get(option, upto + 1)
+        table = uniform_table(
+            f"fixed_{fixed}", value, upto, seed, max_order=DEFAULT_MAX_ORDER,
+            max_degree=DEFAULT_MAX_DEGREE, fallback=True, number=Decimal,
+        )
+        rec = table.recurrence
+        expected = {
+            "plain": format_plain(table.terms),
+            "bfile": format_bfile(table.terms),
+            "structured": json.dumps({
+                "fixed": fixed,
+                "value": value,
+                "offset": 0,
+                "terms": [to_decimal(t) for t in table.terms.terms],
+                "recurrence": None if rec is None else json.loads(recurrence_to_json(rec)),
+            }, sort_keys=True) + "\n",
+        }[fmt]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["table", "--fixed", fixed, "--value", str(value), "--upto", str(upto),
+                         *option, "--format", fmt])
+        assert code == 0
+        assert out.getvalue() == expected
+
+
 class TestTextUnderDefaultDigitLimit:
     def test_prob_plain_with_long_numerator(self, capsys, default_digit_limit, limit_free_text):
         n = 1700
@@ -924,6 +1015,24 @@ def test_closed_stdout_ends_by_sigpipe_without_a_traceback():
         os.close(write_end)
     assert done.stderr == ""
     assert done.returncode == -signal.SIGPIPE
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_reader_leaving_mid_table_ends_by_sigpipe_without_a_traceback():
+    # 1.7 MB of text, far more than a pipe holds, so the table is still being
+    # written when the reader leaves; --seed 110 guesses at once, so nothing
+    # reaches stderr before the table.
+    with subprocess.Popen(
+        [sys.executable, "-m", "multiderange", "table", "--fixed", "k", "--value", "4",
+         "--upto", "600", "--seed", "110"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=python_env(),
+    ) as proc:
+        assert proc.stdout.readline() == "1\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert err == ""
+    assert code == -signal.SIGPIPE
 
 
 # Runs the commands that guess nothing, then guess, in one fresh interpreter,
