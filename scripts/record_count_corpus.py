@@ -76,7 +76,7 @@ def main() -> None:
     cases = []
     for name, groups in CASES:
         multiplicities = [a for a, copies in groups for _ in range(copies)]
-        count = multiset_derangement(multiplicities).value
+        count = multiset_derangement(multiplicities)
         cases.append({"name": name, "groups": groups, "count": to_decimal(count)})
     sys.stdout.write("[\n" + ",\n".join(json.dumps(case) for case in cases) + "\n]\n")
 

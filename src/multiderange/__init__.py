@@ -1,8 +1,6 @@
 """Exact derangement counting for multisets, with Laguerre-moment evaluation,
 empirical recurrence guessing, and OEIS cross-checking."""
 from .counting import (
-    DerangementCount,
-    Multiset,
     brute_force_count,
     classic_derangement,
     macmahon_count,
@@ -42,8 +40,6 @@ from .sequences import SequenceSlice, format_bfile, format_plain, parse_bfile
 __version__ = "0.1.0"
 
 __all__ = [
-    "DerangementCount",
-    "Multiset",
     "OeisClient",
     "OeisReport",
     "Recurrence",

@@ -256,14 +256,14 @@ def _cmd_derange(args) -> int:
 
 
 def _cmd_multi(args) -> int:
-    count = multiset_derangement(tuple(args.multiplicities))
-    _emit_value(args.format, index=len(args.multiplicities), value=count.value,
+    _emit_value(args.format, index=len(args.multiplicities),
+                value=multiset_derangement(args.multiplicities),
                 extra={"multiset": list(args.multiplicities)})
     return EXIT_OK
 
 
 def _cmd_prob(args) -> int:
-    probability = wrong_rank_probability(tuple(args.multiplicities))
+    probability = wrong_rank_probability(args.multiplicities)
     decimal = decimal_approx(probability)
     if args.format == "structured":
         _print_json({

@@ -1,9 +1,11 @@
 """Counting derangements: classic, multiset (three independent methods), and
 the uniform-multiplicity family.
 
-A multiset instance is the multiplicity vector (a_1, ..., a_n): a_i copies of
-symbol i.  Its derangements are the distinct arrangements in which no
-position holds the same symbol as the sorted reference word 1^a_1 ... n^a_n.
+A multiset instance is its multiplicity vector (a_1, ..., a_n), passed as any
+iterable of ints and read once into a plain tuple: a_i >= 1 copies of symbol
+i, and n may be 0.  Its derangements are the distinct arrangements in which
+no position holds the same symbol as the sorted reference word
+1^a_1 ... n^a_n.  Every count is returned as a plain int.
 
 Three routes to the same count:
 
@@ -32,7 +34,6 @@ multiplied over `polys.int_product`'s balanced tree.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, Sequence
@@ -47,34 +48,13 @@ MACMAHON_MAX_SYMBOLS = 6
 MACMAHON_MAX_MULTIPLICITY = 6
 
 
-@dataclass(frozen=True)
-class Multiset:
-    """Multiplicity vector (a_1, ..., a_n); every a_i >= 1, n may be 0."""
-
-    multiplicities: tuple[int, ...]
-
-    def __post_init__(self):
-        for a in self.multiplicities:
-            if a < 1:
-                raise ValueError(f"multiplicities must be >= 1, got {a}")
-
-    @property
-    def total(self) -> int:
-        return sum(self.multiplicities)
-
-    def __len__(self) -> int:
-        return len(self.multiplicities)
-
-
-@dataclass(frozen=True)
-class DerangementCount:
-    value: int
-
-
-def as_multiset(m: Multiset | Iterable[int]) -> Multiset:
-    if isinstance(m, Multiset):
-        return m
-    return Multiset(tuple(m))
+def _multiplicities(m: Iterable[int]) -> tuple[int, ...]:
+    """m as a tuple, every entry checked >= 1 (it may be empty)."""
+    ms = tuple(m)
+    for a in ms:
+        if a < 1:
+            raise ValueError(f"multiplicities must be >= 1, got {a}")
+    return ms
 
 
 def classic_derangement(n: int) -> int:
@@ -91,18 +71,17 @@ def classic_derangement(n: int) -> int:
     return d
 
 
-def total_arrangements(m: Multiset | Iterable[int]) -> int:
+def total_arrangements(m: Iterable[int]) -> int:
     """Multinomial coefficient total! / (a_1! * ... * a_n!)."""
-    ms = as_multiset(m)
     out = 1
     placed = 0
-    for a in ms.multiplicities:
+    for a in _multiplicities(m):
         placed += a
         out *= comb(placed, a)
     return out
 
 
-def multiset_derangement(m: Multiset | Iterable[int]) -> DerangementCount:
+def multiset_derangement(m: Iterable[int]) -> int:
     """Exact derangement count via the signed Laguerre moment.
 
     The count equals (-1)^total times the exponential moment of the product
@@ -111,18 +90,17 @@ def multiset_derangement(m: Multiset | Iterable[int]) -> DerangementCount:
     division must be exact and the signed result nonnegative; both are
     checked before returning.
     """
-    ms = as_multiset(m)
     groups: dict[int, int] = {}
-    for a in ms.multiplicities:
+    for a in _multiplicities(m):
         groups[a] = groups.get(a, 0) + 1
-    return DerangementCount(_grouped_count(groups))
+    return _grouped_count(groups)
 
 
 def uniform_count(n: int, k: int) -> int:
     """Derangement count of the multiset with k repeated n times.
 
-    The same count as multiset_derangement((k,) * n); n = 0 or k = 0 gives 1
-    (the empty word is vacuously deranged).
+    The same int as multiset_derangement((k,) * n), without building the
+    tuple; n = 0 or k = 0 gives 1 (the empty word is vacuously deranged).
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
@@ -322,19 +300,19 @@ def _signed_count(moment: int, total: int, scale: int = 1) -> int:
     return quotient
 
 
-def brute_force_count(m: Multiset | Iterable[int], *, limit: int = BRUTE_FORCE_LIMIT) -> int:
+def brute_force_count(m: Iterable[int], *, limit: int = BRUTE_FORCE_LIMIT) -> int:
     """Count derangements by recursive symbol-count descent.
 
     Walks distinct multiset permutations only (equal copies are never
     distinguished), pruning any branch that would keep the reference
     symbol in place.
     """
-    ms = as_multiset(m)
-    total = ms.total
+    ms = _multiplicities(m)
+    total = sum(ms)
     if total > limit:
         raise InstanceTooLarge(f"total {total} exceeds brute-force bound {limit}")
-    reference = [i for i, a in enumerate(ms.multiplicities) for _ in range(a)]
-    remaining = list(ms.multiplicities)
+    reference = [i for i, a in enumerate(ms) for _ in range(a)]
+    remaining = list(ms)
     n_symbols = len(remaining)
 
     def walk(pos: int) -> int:
@@ -353,7 +331,7 @@ def brute_force_count(m: Multiset | Iterable[int], *, limit: int = BRUTE_FORCE_L
 
 
 def macmahon_count(
-    m: Multiset | Iterable[int],
+    m: Iterable[int],
     *,
     max_symbols: int = MACMAHON_MAX_SYMBOLS,
     max_multiplicity: int = MACMAHON_MAX_MULTIPLICITY,
@@ -366,18 +344,15 @@ def macmahon_count(
     complement has total degree >= 2 and no constant term, so the truncated
     accumulation stabilizes on the target coefficient.
     """
-    ms = as_multiset(m)
-    n = len(ms)
+    caps = _multiplicities(m)
+    n = len(caps)
     if n > max_symbols:
         raise InstanceTooLarge(f"{n} symbols exceeds bound {max_symbols}")
-    if n and max(ms.multiplicities) > max_multiplicity:
-        raise InstanceTooLarge(
-            f"multiplicity {max(ms.multiplicities)} exceeds bound {max_multiplicity}"
-        )
+    if n and max(caps) > max_multiplicity:
+        raise InstanceTooLarge(f"multiplicity {max(caps)} exceeds bound {max_multiplicity}")
     if n == 0:
         return 1
 
-    caps = ms.multiplicities
     # E = sum over squarefree monomials of weight w >= 2, with coefficient w-1.
     growth: dict[tuple[int, ...], int] = {}
     for mask in range(1 << n):
@@ -409,9 +384,9 @@ def _mul_truncated(
     return out
 
 
-def wrong_rank_probability(m: Multiset | Iterable[int]) -> Fraction:
+def wrong_rank_probability(m: Iterable[int]) -> Fraction:
     """Exact probability that a uniform arrangement deranges every position."""
-    ms = as_multiset(m)
-    if ms.total < 1:
+    ms = _multiplicities(m)
+    if not ms:
         raise ValueError("probability needs a nonempty multiset")
-    return Fraction(multiset_derangement(ms).value, total_arrangements(ms))
+    return Fraction(multiset_derangement(ms), total_arrangements(ms))

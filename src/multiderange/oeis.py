@@ -39,7 +39,7 @@ from typing import Callable
 from .errors import NetworkUnavailable, SequenceParseError, UnknownSequence
 from .sequences import SequenceSlice, parse_bfile
 
-_ID_PATTERN = re.compile(r"\AA\d{6}\Z")
+_ID_PATTERN = re.compile(r"\AA[0-9]{6}\Z")
 DEFAULT_BASE_URL = "https://oeis.org"
 DEFAULT_TIMEOUT = 10.0
 

@@ -14,9 +14,10 @@ import urllib.request
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiderange.bigint import to_decimal
@@ -495,6 +496,14 @@ class TestOeisCheck:
             main(["oeis-check", "--id", "X123", "--fixed", "k", "--value", "1",
                   "--count", "5"])
         assert info.value.code == 2
+
+    def test_non_ascii_digit_id_is_a_usage_error(self, capsys):
+        sequence_id = "A\u0660\u0660\u0660\u0661\u0666\u0666"  # Arabic-Indic 000166
+        with pytest.raises(SystemExit) as info:
+            main(["oeis-check", "--id", sequence_id, "--fixed", "k", "--value", "1",
+                  "--count", "5"])
+        assert info.value.code == 2
+        assert "malformed sequence id" in capsys.readouterr().err
 
     def test_corrupted_cache_mismatch_exit(self, capsys, tmp_path):
         corrupted = "".join(
@@ -997,6 +1006,132 @@ class TestDispatchedParse:
         monkeypatch.setattr(sys, "argv", ["multiderange", "derange", "5"])
         assert main() == 0
         assert capsys.readouterr().out == "44\n"
+
+
+# -- the exit-code contract ---------------------------------------------------
+# Whatever the argv, main returns 0, 2, 3 or 4, and only argparse's own
+# SystemExit(0 or 2) escapes it.  Argvs are drawn from the seven commands'
+# grammar, with malformed tokens, bad choices, unknown flags and odd files
+# mixed in; sizes stay small (--upto <= 40, caps <= 4, counts <= 30).
+
+def _rarely(bad, good):
+    """A draw from good, or one time in ten from bad.  Shrinking moves the
+    selector toward 0, so toward good."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 1 else good)
+
+
+def _int_token(low, high):
+    """The text of an int in low..high, or now and then a malformed or too
+    small one."""
+    return _rarely(
+        st.sampled_from([str(low - 1), "-1", "1_0", "+3", "\u0663", "\uff13", " 5", "", "x"]),
+        st.integers(low, high).map(str),
+    )
+
+
+FORMATS = _rarely(st.just("xml"), st.sampled_from(["plain", "bfile", "structured"]))
+FIXED = _rarely(st.just("m"), st.sampled_from(["k", "n"]))
+SEQUENCE_IDS = _rarely(
+    st.sampled_from(["X123", "A12345", "a000166", "A0001666",
+                     "A\u0660\u0660\u0660\u0661\u0666\u0666"]),
+    st.sampled_from(["A000166", "A000459", "A059074", "A999999"]),
+)
+JUNK = st.sampled_from(["--bogus", "--bogus=1", "-x", "extra", "--", "--form", "-h"])
+# Under the contract's work directory: a readable file of each kind, a file
+# drawn per example, a missing file, the directory itself, a path under a
+# file and a path under a missing directory.
+TERMS_FILES = st.sampled_from([
+    "derangements.txt", "bfile.txt", "empty.txt", "latin1.txt", "garbage.txt",
+    "arabic.txt", "short.txt", "gaps.txt", "drawn.txt", "missing.txt", ".",
+])
+RECURRENCE_OUTS = _rarely(
+    st.sampled_from([".", "derangements.txt/rec.json", "missing/rec.json"]), st.just("rec.json")
+)
+CACHE_DIRS = _rarely(st.sampled_from(["derangements.txt", "missing-cache"]), st.just("cache"))
+
+
+def _argvs(workdir):
+    """Argvs of every command; path options name entries of workdir."""
+    def under(names):
+        return names.map(lambda name: str(workdir / name))
+
+    caps = {"--max-order": _int_token(1, 4), "--max-degree": _int_token(0, 4)}
+    multiplicities = _rarely(st.just([]), st.lists(_int_token(1, 6), min_size=1, max_size=6))
+    text_formats = _rarely(
+        st.sampled_from(["bfile", "xml"]), st.sampled_from(["plain", "structured"])
+    )
+    grammar = {
+        "derange": (st.lists(_int_token(0, 300), min_size=1, max_size=1), {"--format": FORMATS}),
+        "multi": (multiplicities, {"--format": FORMATS}),
+        "deck": (st.just([]), {"--format": FORMATS}),
+        "prob": (multiplicities, {"--format": text_formats}),
+        "table": (st.just([]), {
+            "--fixed": FIXED, "--value": _int_token(0, 6), "--upto": _int_token(0, 40),
+            "--seed": _int_token(0, 40), "--direct-only": None, "--no-fallback": None,
+            "--recurrence-out": under(RECURRENCE_OUTS), **caps, "--format": FORMATS,
+        }),
+        "guess": (st.just([]), {"--terms-file": under(TERMS_FILES), **caps}),
+        "oeis-check": (st.just([]), {
+            "--id": SEQUENCE_IDS, "--fixed": FIXED, "--value": _int_token(0, 6),
+            "--count": _int_token(1, 30), "--online": None,
+            "--cache-dir": under(CACHE_DIRS), "--format": text_formats,
+        }),
+    }
+
+    @st.composite
+    def argv(draw):
+        command = draw(st.sampled_from([*COMMANDS, "bogus"]))
+        positional, options = grammar.get(command, (st.just([]), {}))
+        tokens = [command, *draw(positional)]
+        pieces = []
+        for flag, values in options.items():
+            if draw(_rarely(st.just(False), st.just(True))):  # else the option is left out
+                pieces.append([flag] if values is None else [flag, draw(values)])
+        for piece in draw(st.permutations(pieces)):
+            tokens += piece
+        return tokens + draw(_rarely(st.lists(JUNK, min_size=1, max_size=1), st.just([])))
+
+    return argv()
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    workdir = tmp_path_factory.mktemp("contract")
+    files = {
+        "derangements.txt": "".join(f"{classic_derangement(n)}\n" for n in range(30)),
+        "bfile.txt": format_bfile(SequenceSlice(0, tuple(uniform_prefix("fixed_k", 2, 30)))),
+        "empty.txt": "",
+        "garbage.txt": "1\nx\n",
+        "arabic.txt": "\u0661\n\u0662\n",
+        "short.txt": "1\n2\n",
+        "gaps.txt": "0 1\n2 3\n",
+    }
+    for name, text in files.items():
+        (workdir / name).write_text(text, encoding="utf-8")
+    (workdir / "latin1.txt").write_bytes(b"\xff\xfe1\n")
+    (workdir / "cache").mkdir()
+    return workdir
+
+
+@settings(max_examples=200)
+@given(data=st.data(), drawn_terms=st.lists(st.integers(-10**6, 10**6), max_size=30))
+def test_every_argv_keeps_the_exit_code_contract(contract_dir, data, drawn_terms):
+    (contract_dir / "drawn.txt").write_text("".join(f"{t}\n" for t in drawn_terms))
+    argv = data.draw(_argvs(contract_dir), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    env = {"MULTIDERANGE_OFFLINE": "1",
+           "MULTIDERANGE_OEIS_CACHE": str(contract_dir / "env-cache")}
+    no_network = AssertionError("the contract runs offline")
+    with mock.patch.dict(os.environ, env), \
+            mock.patch("urllib.request.urlopen", side_effect=no_network), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code in (0, 2), argv
+            code = exc.code
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue()
 
 
 def test_python_dash_m_entry_point():

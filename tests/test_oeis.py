@@ -102,6 +102,14 @@ class TestFetch:
         with pytest.raises(ValueError):
             client.fetch_terms("A12345")
 
+    def test_non_ascii_digits_rejected_before_any_io(self, tmp_path):
+        # Arabic-Indic digits match \d; an id must be ASCII like every number.
+        transport = CountingTransport(b"0 1\n")
+        client = OeisClient(cache_dir=tmp_path, online=True, transport=transport)
+        with pytest.raises(ValueError, match="malformed sequence id"):
+            client.fetch_terms("A\u0660\u0660\u0660\u0661\u0666\u0666")
+        assert transport.calls == 0
+
     def test_offline_without_cache(self, tmp_path):
         client = OeisClient(cache_dir=tmp_path, online=False)
         with pytest.raises(NetworkUnavailable):
