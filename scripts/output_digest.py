@@ -24,7 +24,13 @@ are read from this checkout's tests/data/guess_corpus.json.  The grid:
 Calls run in-process through cli.main, in a temporary working directory
 with the network switched off, so paths in the output are the same on
 every run.  The exit code is main's return value, or the code of the
-SystemExit that argparse raises on a usage error.
+SystemExit that argparse raises on a usage error.  `listing()` yields the
+same lines, in the current directory.
+
+tests/data/output_digest.txt pins the listing, and
+tests/test_output_digest.py compares it line by line.  A change meant to
+alter some output records the file again with this script and names each
+changed line.
 """
 from __future__ import annotations
 
@@ -36,6 +42,7 @@ import os
 import shlex
 import tempfile
 from pathlib import Path
+from typing import Iterator
 
 from multiderange.cli import main
 
@@ -89,19 +96,29 @@ def run(argv: list[str]) -> tuple[int, bytes, bytes]:
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 
-def digest() -> None:
+def listing() -> Iterator[str]:
+    """The digest's lines, one per call of the grid, without newlines.
+
+    The calls run in the current working directory, which gets the guess
+    input files; the caller sets MULTIDERANGE_OFFLINE and the directory.
+    """
     corpus = json.loads(CORPUS.read_text())
+    for i, case in enumerate(corpus):
+        Path(f"guess_{i:03d}.txt").write_text(
+            "".join(f"{case['offset'] + n} {t}\n" for n, t in enumerate(case["terms"]))
+        )
+    for argv in grid(corpus):
+        code, out, err = run(argv)
+        yield "\t".join([shlex.join(argv), str(code), hashlib.sha256(out).hexdigest(),
+                         hashlib.sha256(err).hexdigest()])
+
+
+def digest() -> None:
     os.environ["MULTIDERANGE_OFFLINE"] = "1"
     with tempfile.TemporaryDirectory() as workdir:
         os.chdir(workdir)
-        for i, case in enumerate(corpus):
-            Path(f"guess_{i:03d}.txt").write_text(
-                "".join(f"{case['offset'] + n} {t}\n" for n, t in enumerate(case["terms"]))
-            )
-        for argv in grid(corpus):
-            code, out, err = run(argv)
-            print(shlex.join(argv), code, hashlib.sha256(out).hexdigest(),
-                  hashlib.sha256(err).hexdigest(), sep="\t", flush=True)
+        for line in listing():
+            print(line, flush=True)
 
 
 if __name__ == "__main__":

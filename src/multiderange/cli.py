@@ -54,6 +54,8 @@ from .oeis import OeisClient, OeisReport, _check_id
 from .recurrences import (
     DEFAULT_MAX_DEGREE,
     DEFAULT_MAX_ORDER,
+    GUESS_MARGIN,
+    _terms_needed,
     format_recurrence,
     guess_recurrence,
     recurrence_to_json,
@@ -138,11 +140,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="which parameter stays fixed while the other runs 0..upto")
     p.add_argument("--value", type=_int_at_least(0), required=True)
     p.add_argument("--upto", type=_int_at_least(0), required=True)
+    full_seed = _terms_needed(DEFAULT_MAX_ORDER, DEFAULT_MAX_DEGREE) + GUESS_MARGIN
     p.add_argument("--seed", type=_int_at_least(0), default=DEFAULT_SEED,
                    help="terms computed directly before the first guess; while guessing "
                    "fails, the seed doubles up to the size at which every candidate within "
-                   "--max-order and --max-degree has enough terms (201 at the defaults), then "
-                   f"the rest is computed directly (default {DEFAULT_SEED})")
+                   f"--max-order and --max-degree has enough terms ({full_seed} at the defaults), "
+                   f"then the rest is computed directly (default {DEFAULT_SEED})")
     p.add_argument("--direct-only", action="store_true",
                    help="skip guessing; evaluate every term from the moment formula")
     p.add_argument("--no-fallback", action="store_true",
@@ -196,7 +199,7 @@ def _int_at_least(low: int):
     def parse(text: str) -> int:
         value = from_decimal(text)
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {to_decimal(value)}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -377,13 +380,13 @@ def _table_json(fixed: str, value: int, terms: SequenceSlice, recurrence: str) -
     json.loads(recurrence)}, without the list: each term's text is made when
     its piece is taken.  recurrence is "null" or recurrence_to_json text,
     which json.dumps writes back unchanged."""
-    yield (f'{{"fixed": {json.dumps(fixed)}, "offset": {terms.offset}, '
+    yield (f'{{"fixed": {json.dumps(fixed)}, "offset": {to_decimal(terms.offset)}, '
            f'"recurrence": {recurrence}, "terms": [')
     separator = ""
     for term in terms.terms:
         yield f'{separator}"{to_decimal(term)}"'
         separator = ", "
-    yield f'], "value": {value}}}\n'
+    yield f'], "value": {to_decimal(value)}}}\n'
 
 
 def _print_json(document: dict) -> None:

@@ -39,6 +39,7 @@ from math import comb, factorial, prod
 from typing import Iterable, Iterator, Sequence
 
 from . import polys
+from .bigint import to_decimal
 from .errors import InstanceTooLarge, InternalInconsistency
 from .laguerre import integer_moment, scaled_laguerre
 
@@ -53,7 +54,7 @@ def _multiplicities(m: Iterable[int]) -> tuple[int, ...]:
     ms = tuple(m)
     for a in ms:
         if a < 1:
-            raise ValueError(f"multiplicities must be >= 1, got {a}")
+            raise ValueError(f"multiplicities must be >= 1, got {to_decimal(a)}")
     return ms
 
 
@@ -149,8 +150,8 @@ def _grouped_count(groups: dict[int, int]) -> int:
     multiplicity a, every a and groups[a] >= 1 (no groups: the empty word)."""
     deg_r = sum(groups)
     deg_q = sum(a * c for a, c in groups.items())
+    width = _packed_slot_bytes(groups)  # forms every factor: too large an a raises here
     scale = prod(factorial(a) ** c for a, c in groups.items())
-    width = _packed_slot_bytes(groups)
     if (deg_q + 1) * 8 * width <= _PACKED_MAX_BITS:
         q = _product_packed(groups, deg_q, width)
     elif deg_r < _RECURRENCE_MAX_DEG_R and deg_q >= _RECURRENCE_MIN_REPEAT * deg_r:
@@ -310,7 +311,9 @@ def brute_force_count(m: Iterable[int], *, limit: int = BRUTE_FORCE_LIMIT) -> in
     ms = _multiplicities(m)
     total = sum(ms)
     if total > limit:
-        raise InstanceTooLarge(f"total {total} exceeds brute-force bound {limit}")
+        raise InstanceTooLarge(
+            f"total {to_decimal(total)} exceeds brute-force bound {to_decimal(limit)}"
+        )
     reference = [i for i, a in enumerate(ms) for _ in range(a)]
     remaining = list(ms)
     n_symbols = len(remaining)
@@ -349,7 +352,9 @@ def macmahon_count(
     if n > max_symbols:
         raise InstanceTooLarge(f"{n} symbols exceeds bound {max_symbols}")
     if n and max(caps) > max_multiplicity:
-        raise InstanceTooLarge(f"multiplicity {max(caps)} exceeds bound {max_multiplicity}")
+        raise InstanceTooLarge(
+            f"multiplicity {to_decimal(max(caps))} exceeds bound {to_decimal(max_multiplicity)}"
+        )
     if n == 0:
         return 1
 

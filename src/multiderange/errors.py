@@ -1,5 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every number in a message is rendered by bigint.to_decimal, so a message
+prints at any size (see bigint).
+"""
 from __future__ import annotations
+
+from .bigint import to_decimal
 
 
 class MultiDerangeError(Exception):
@@ -14,7 +20,9 @@ class InternalInconsistency(MultiDerangeError):
 
 
 class InstanceTooLarge(MultiDerangeError):
-    """A problem instance exceeds the configured bound of an oracle method."""
+    """A problem instance exceeds a bound: the configured bound of an oracle
+    method, or sys.maxsize for a multiplicity, the largest whose factorial
+    can be formed."""
 
 
 class InsufficientData(MultiDerangeError):
@@ -22,7 +30,7 @@ class InsufficientData(MultiDerangeError):
 
     def __init__(self, min_terms: int, got: int):
         super().__init__(
-            f"need at least {min_terms} terms to attempt a fit, got {got}"
+            f"need at least {to_decimal(min_terms)} terms to attempt a fit, got {to_decimal(got)}"
         )
         self.min_terms = min_terms
 
@@ -34,44 +42,44 @@ class RecurrenceNotFound(MultiDerangeError):
 
     def __init__(self, max_order: int, max_degree: int, stopped_short: bool):
         super().__init__(
-            f"no recurrence found with order <= {max_order} "
-            f"and coefficient degree <= {max_degree}"
+            f"no recurrence found with order <= {to_decimal(max_order)} "
+            f"and coefficient degree <= {to_decimal(max_degree)}"
             + ("; the scan stopped short of the caps for lack of terms" if stopped_short else "")
         )
 
 
-class HoldoutMismatch(MultiDerangeError):
+class _AtIndex(MultiDerangeError):
+    """An error at one sequence index, kept as .index; the subclass's
+    _message names it as {n}."""
+
+    def __init__(self, index: int):
+        super().__init__(self._message.format(n=to_decimal(index)))
+        self.index = index
+
+
+class HoldoutMismatch(_AtIndex):
     """A guessed recurrence failed on a row that reaches a term withheld
     from the guesser; index is the shift n of the first such row."""
 
-    def __init__(self, index: int):
-        super().__init__(
-            f"guessed recurrence fails at n={index}, on a row that reaches a held-out term"
-        )
-        self.index = index
+    _message = "guessed recurrence fails at n={n}, on a row that reaches a held-out term"
 
 
-class LeadingCoefficientZero(MultiDerangeError):
+class LeadingCoefficientZero(_AtIndex):
     """The leading recurrence coefficient vanishes at an index needed for extension."""
 
-    def __init__(self, index: int):
-        super().__init__(
-            f"leading coefficient is zero at n={index}; "
-            f"supply initial terms past this singular point"
-        )
-        self.index = index
+    _message = (
+        "leading coefficient is zero at n={n}; supply initial terms past this singular point"
+    )
 
 
-class NonIntegralStep(MultiDerangeError):
+class NonIntegralStep(_AtIndex):
     """A recurrence extension step required an inexact integer division.
 
     Integer sequences must stay integer; an inexact step proves the
     recurrence or the initial terms are wrong.
     """
 
-    def __init__(self, index: int):
-        super().__init__(f"inexact division while extending at n={index}")
-        self.index = index
+    _message = "inexact division while extending at n={n}"
 
 
 class SequenceParseError(MultiDerangeError):

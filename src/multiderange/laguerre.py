@@ -22,9 +22,12 @@ operations.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Sequence
 
+from .bigint import to_decimal
+from .errors import InstanceTooLarge
 from .polys import Poly, scaled_integers
 
 # Append-only cache by degree.  Racing inserts are benign: every writer
@@ -33,9 +36,15 @@ _scaled_cache: dict[int, tuple[int, ...]] = {}
 
 
 def scaled_laguerre(a: int) -> tuple[int, ...]:
-    """a! * L_a as integer coefficients, cached per process."""
+    """a! * L_a as integer coefficients, cached per process.
+
+    Raises InstanceTooLarge past sys.maxsize, where math.factorial would
+    raise OverflowError: a is the multiplicity of a counting instance.
+    """
     if a < 0:
         raise ValueError("degree must be nonnegative")
+    if a > sys.maxsize:
+        raise InstanceTooLarge(f"multiplicity {to_decimal(a)} exceeds sys.maxsize ({sys.maxsize})")
     cached = _scaled_cache.get(a)
     if cached is not None:
         return cached

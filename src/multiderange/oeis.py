@@ -36,6 +36,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable
 
+from .bigint import to_decimal
 from .errors import NetworkUnavailable, SequenceParseError, UnknownSequence
 from .sequences import SequenceSlice, parse_bfile
 
@@ -89,14 +90,11 @@ class OeisClient:
     def fetch_terms(self, sequence_id: str) -> SequenceSlice:
         """Published terms for the id, from cache, bundled data, or network."""
         _check_id(sequence_id)
-        cache_file = self.cache_dir / _bfile_name(sequence_id)
-        if cache_file.is_file():
-            return _parse_bfile_bytes(cache_file.read_bytes(), cache_file)
-        bundled = resources.files("multiderange").joinpath(
-            "data", "oeis", _bfile_name(sequence_id)
-        )
-        if bundled.is_file():
-            return _parse_bfile_bytes(bundled.read_bytes(), bundled)
+        name = _bfile_name(sequence_id)
+        cache_file = self.cache_dir / name
+        for source in (cache_file, resources.files("multiderange").joinpath("data", "oeis", name)):
+            if source.is_file():
+                return _parse_bfile_bytes(source.read_bytes(), source)
         if not self.online:
             raise NetworkUnavailable(
                 f"{sequence_id} is not cached and network access is disabled"
@@ -142,7 +140,8 @@ class OeisClient:
                 return OeisReport(sequence_id, "mismatch_at", compared, n, offset, remote.offset)
             drawn = n + 1
         if drawn < stop:
-            raise ValueError(f"local terms end at index {drawn}, short of the count {count}")
+            raise ValueError(f"local terms end at index {to_decimal(drawn)}, "
+                             f"short of the count {to_decimal(count)}")
         return OeisReport(sequence_id, "match", compared, None, offset, remote.offset)
 
     def _download(self, sequence_id: str) -> bytes:
@@ -185,12 +184,16 @@ def _bfile_name(sequence_id: str) -> str:
 
 def _parse_bfile_bytes(data: bytes, source) -> SequenceSlice:
     """Parse a cached, bundled or downloaded b-file; bytes that are not
-    UTF-8 are malformed."""
+    UTF-8, and indices that do not fit in 63 bits, are malformed.  So every
+    offset and index an OeisReport carries prints as a plain int."""
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise SequenceParseError(f"{source}: not UTF-8 ({exc})") from exc
-    return parse_bfile(text)
+    terms = parse_bfile(text)
+    if max(abs(terms.offset), abs(terms.end - 1)) >> 63:
+        raise SequenceParseError(f"{source}: an index does not fit in 63 bits")
+    return terms
 
 
 def _http_get(url: str) -> bytes:

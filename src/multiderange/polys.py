@@ -57,9 +57,7 @@ def add(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
     out = list(p)
     for i, c in enumerate(q):
         out[i] += c
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+    return poly(out)
 
 
 def mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -338,19 +338,12 @@ def recurrence_from_json(text: str) -> Recurrence:
 
 def format_recurrence(rec: Recurrence) -> str:
     """Human-readable rendering, highest shift first, e.g. 's(n+1) - s(n) = 0'."""
-    parts: list[str] = []
+    terms = []
     for j in range(rec.order, -1, -1):
-        pj = rec.coeff_polys[j]
-        if not pj:
-            continue
-        shift = f"s(n+{j})" if j else "s(n)"
-        text, negative = _poly_text(pj)
-        sign = "-" if negative else "+"
-        if not parts:
-            parts.append(f"-{text}{shift}" if negative else f"{text}{shift}")
-        else:
-            parts.append(f"{sign} {text}{shift}")
-    return " ".join(parts) + " = 0" if parts else "0 = 0"
+        if rec.coeff_polys[j]:
+            text, negative = _poly_text(rec.coeff_polys[j])
+            terms.append((negative, text + (f"s(n+{j})" if j else "s(n)")))
+    return _join_signed(terms) + " = 0" if terms else "0 = 0"
 
 
 def _poly_text(pj: tuple[int, ...]) -> tuple[str, bool]:
@@ -367,20 +360,19 @@ def _poly_text(pj: tuple[int, ...]) -> tuple[str, bool]:
     if negative:
         pj = tuple(-c for c in pj)
     monomials = []
-    for e in range(len(pj) - 1, -1, -1):
-        c = pj[e]
-        if not c:
-            continue
-        if e == 0:
-            body = to_decimal(abs(c))
-        else:
-            var = "n" if e == 1 else f"n^{e}"
-            body = var if abs(c) == 1 else f"{to_decimal(abs(c))}*{var}"
-        if not monomials:
-            monomials.append(body if c > 0 else f"-{body}")
-        else:
-            monomials.append(f"+ {body}" if c > 0 else f"- {body}")
-    return f"({' '.join(monomials)})*", negative
+    for e, c in reversed(list(enumerate(pj))):
+        if c:
+            var = "" if e == 0 else "n" if e == 1 else f"n^{e}"
+            coeff = "" if e and abs(c) == 1 else to_decimal(abs(c)) + ("*" if e else "")
+            monomials.append((c < 0, coeff + var))
+    return f"({_join_signed(monomials)})*", negative
+
+
+def _join_signed(terms: list[tuple[bool, str]]) -> str:
+    """'a - b + c' from (negative, text) pairs: each sign is spaced from its
+    term, and the first term's is kept only when it is a minus."""
+    text = " ".join(f"{'-' if negative else '+'} {body}" for negative, body in terms)
+    return "-" + text[2:] if text.startswith("-") else text[2:]
 
 
 # -- fitting internals ------------------------------------------------------

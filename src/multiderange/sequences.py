@@ -40,7 +40,8 @@ class SequenceSlice:
     def term(self, n: int) -> int:
         """Term at absolute index n."""
         if not self.offset <= n < self.end:
-            raise IndexError(f"index {n} outside [{self.offset}, {self.end})")
+            raise IndexError(f"index {to_decimal(n)} outside "
+                             f"[{to_decimal(self.offset)}, {to_decimal(self.end)})")
         return self.terms[n - self.offset]
 
     def __len__(self) -> int:
@@ -48,7 +49,7 @@ class SequenceSlice:
 
 
 def bfile_lines(s: SequenceSlice) -> Iterator[str]:
-    return (f"{n} {to_decimal(v)}\n" for n, v in zip(range(s.offset, s.end), s.terms))
+    return (f"{to_decimal(n)} {to_decimal(v)}\n" for n, v in zip(range(s.offset, s.end), s.terms))
 
 
 def plain_lines(s: SequenceSlice) -> Iterator[str]:
@@ -75,7 +76,8 @@ def parse_bfile(text: str) -> SequenceSlice:
             offset = index
         elif index != expected:
             raise SequenceParseError(
-                f"line {lineno}: index {index} breaks the run (expected {expected})"
+                f"line {lineno}: index {to_decimal(index)} breaks the run "
+                f"(expected {to_decimal(expected)})"
             )
         expected = index + 1
         terms.append(value)

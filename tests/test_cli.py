@@ -863,6 +863,116 @@ class TestTextUnderDefaultDigitLimit:
         assert last == limit_free_text(uniform_count(1000, 2))
 
 
+class TestNumbersPastTheDigitCap:
+    """Numbers past the interpreter's int -> str cap in arguments, term files
+    and cached b-files keep the exit-code contract: one error: line, and
+    text rendered through bigint."""
+
+    FAR = 10**5000
+    CAP = 10**4400  # 4401 digits
+
+    @staticmethod
+    def primes(count):
+        found = []
+        n = 2
+        while len(found) < count:
+            if all(n % p for p in found):
+                found.append(n)
+            n += 1
+        return found
+
+    def test_negative_argument_names_its_value(self, capsys, default_digit_limit, limit_free_text):
+        with pytest.raises(SystemExit) as info:
+            main(["derange", limit_free_text(-self.FAR)])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            f"argument n: must be at least 0, got {limit_free_text(-self.FAR)}\n"
+        )
+
+    def test_guess_index_that_breaks_the_run(
+        self, capsys, tmp_path, default_digit_limit, limit_free_text
+    ):
+        terms_file = tmp_path / "far_b.txt"
+        terms_file.write_text(f"0 1\n{limit_free_text(self.FAR)} 1\n")
+        code, out, err = run_cli(capsys, "guess", "--terms-file", str(terms_file))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {terms_file}: line 2: index {limit_free_text(self.FAR)} "
+            "breaks the run (expected 1)\n"
+        )
+
+    def test_guess_with_a_cap_past_the_digit_cap(
+        self, capsys, tmp_path, default_digit_limit, limit_free_text
+    ):
+        terms_file = tmp_path / "primes.txt"
+        terms_file.write_text("".join(f"{p}\n" for p in self.primes(30)))
+        code, out, err = run_cli(
+            capsys, "guess", "--terms-file", str(terms_file),
+            "--max-order", limit_free_text(self.CAP),
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: no recurrence found with order <= {limit_free_text(self.CAP)} "
+            f"and coefficient degree <= {DEFAULT_MAX_DEGREE}; "
+            "the scan stopped short of the caps for lack of terms\n"
+        )
+
+    def test_table_failure_line_names_the_cap(
+        self, capsys, default_digit_limit, limit_free_text
+    ):
+        code, out, err = run_cli(
+            capsys, "table", "--fixed", "k", "--value", "9", "--upto", "30", "--seed", "25",
+            "--max-order", limit_free_text(self.CAP),
+        )
+        assert code == 0
+        assert out == "".join(f"{uniform_count(n, 9)}\n" for n in range(31))
+        assert err.startswith("guessing failed on 25 seed terms (no recurrence found with order "
+                              f"<= {limit_free_text(self.CAP)} and coefficient degree <= 12")
+        assert err.endswith("; computing directly\n")
+        assert err.count("\n") == 1
+
+    def test_table_document_with_a_far_value(
+        self, capsys, default_digit_limit, limit_free_text
+    ):
+        code, out, _ = run_cli(
+            capsys, "table", "--fixed", "n", "--value", limit_free_text(self.FAR), "--upto", "0",
+            "--format", "structured",
+        )
+        assert code == 0
+        assert out == (
+            '{"fixed": "n", "offset": 0, "recurrence": null, "terms": ["1"], '
+            f'"value": {limit_free_text(self.FAR)}}}\n'
+        )
+
+    @pytest.mark.parametrize("fmt", ["plain", "structured"])
+    def test_oeis_check_against_a_far_cached_index(
+        self, capsys, tmp_path, default_digit_limit, limit_free_text, fmt
+    ):
+        cached = tmp_path / "b000166.txt"
+        cached.write_text(f"{limit_free_text(self.FAR)} 1\n")
+        code, out, err = run_cli(
+            capsys, "oeis-check", "--id", "A000166", "--fixed", "k", "--value", "1",
+            "--count", "5", "--cache-dir", str(tmp_path), "--format", fmt,
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: {cached}: an index does not fit in 63 bits\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["multi", "99999999999999999999"],
+        ["prob", "2", "99999999999999999999"],
+        ["table", "--fixed", "k", "--value", "99999999999999999999", "--upto", "2"],
+        ["oeis-check", "--id", "A000166", "--fixed", "k", "--value", "99999999999999999999",
+         "--count", "3"],
+    ], ids=["multi", "prob", "table", "oeis-check"])
+    def test_multiplicity_past_maxsize_is_a_computation_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: multiplicity 99999999999999999999 exceeds sys.maxsize ({sys.maxsize})\n"
+        )
+
+
 class TestSearchCapValidation:
     @pytest.mark.parametrize("flag, value", [("--max-order", "0"), ("--max-degree", "-1")])
     def test_guess_rejects_bad_cap(self, tmp_path, flag, value):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -153,6 +154,43 @@ class TestMacMahon:
 
     def test_bounds_overridable(self):
         assert macmahon_count((1,) * 7, max_symbols=7) == classic_derangement(7)
+
+
+class TestNumbersPastTheDigitCap:
+    FAR = 10**5000
+
+    def test_bound_messages(self, default_digit_limit, limit_free_text):
+        with pytest.raises(InstanceTooLarge, match=f"total {limit_free_text(self.FAR)} exceeds"):
+            brute_force_count((self.FAR,))
+        with pytest.raises(InstanceTooLarge, match=f"multiplicity {limit_free_text(self.FAR)} "):
+            macmahon_count((1, self.FAR))
+
+    def test_nonpositive_multiplicity_message(self, default_digit_limit, limit_free_text):
+        with pytest.raises(ValueError) as info:
+            multiset_derangement((-self.FAR,))
+        assert str(info.value) == f"multiplicities must be >= 1, got {limit_free_text(-self.FAR)}"
+
+
+# Each forms a factorial of its multiplicity a, which math.factorial takes
+# only up to sys.maxsize.
+PAST_MAXSIZE = {
+    "scaled_laguerre": lambda a: scaled_laguerre(a),
+    "laguerre": lambda a: laguerre(a),
+    "multiset_derangement": lambda a: multiset_derangement((2, a, 3)),
+    "wrong_rank_probability": lambda a: wrong_rank_probability((2, a)),
+    "uniform_count": lambda a: uniform_count(1, a),
+    "fixed_k_prefix": lambda a: uniform_prefix("fixed_k", a, 2),
+}
+
+
+@pytest.mark.parametrize("count", PAST_MAXSIZE.values(), ids=PAST_MAXSIZE)
+@pytest.mark.parametrize("a", [sys.maxsize + 1, 10**5000], ids=["maxsize+1", "10^5000"])
+def test_multiplicity_past_maxsize_is_too_large(default_digit_limit, limit_free_text, count, a):
+    with pytest.raises(InstanceTooLarge) as info:
+        count(a)
+    assert str(info.value) == (
+        f"multiplicity {limit_free_text(a)} exceeds sys.maxsize ({sys.maxsize})"
+    )
 
 
 class TestTripleOracleAgreement:

@@ -131,6 +131,32 @@ class TestFetch:
         with pytest.raises(SequenceParseError):
             client.fetch_terms("A000166")
 
+    @pytest.mark.parametrize("offset, count, fits", [
+        (2**63 - 2, 2, True),
+        (2**63 - 1, 2, False),
+        (1 - 2**63, 1, True),
+        (-(2**63), 1, False),
+        (10**5000, 1, False),
+    ], ids=["2^63-2", "2^63-1", "1-2^63", "-2^63", "10^5000"])
+    def test_indices_must_fit_in_63_bits(
+        self, tmp_path, default_digit_limit, limit_free_text, offset, count, fits
+    ):
+        text = "".join(f"{limit_free_text(offset + i)} {i}\n" for i in range(count))
+        (tmp_path / "b000166.txt").write_text(text)
+        client = OeisClient(cache_dir=tmp_path)
+        if fits:
+            assert client.fetch_terms("A000166") == SequenceSlice(offset, tuple(range(count)))
+        else:
+            with pytest.raises(SequenceParseError, match="an index does not fit in 63 bits"):
+                client.fetch_terms("A000166")
+
+    def test_download_past_63_bits_is_malformed_and_not_cached(self, tmp_path):
+        transport = CountingTransport(f"{2**63} 1\n".encode())
+        client = OeisClient(cache_dir=tmp_path, online=True, transport=transport)
+        with pytest.raises(SequenceParseError, match="A999998: an index does not fit"):
+            client.fetch_terms("A999998")
+        assert not (tmp_path / "b999998.txt").exists()
+
     def test_non_utf8_download_is_malformed_and_not_cached(self, tmp_path):
         transport = CountingTransport(b"\xff0 1\n1 0\n2 1\n")
         client = OeisClient(cache_dir=tmp_path, online=True, transport=transport)
@@ -307,6 +333,17 @@ class TestLazyCrossCheck:
         client = OeisClient(cache_dir=tmp_path)
         with pytest.raises(ValueError, match="short of the count"):
             client.cross_check(iter([1, 0, 1]), "A000166", 10)
+
+    def test_count_past_the_digit_cap_in_the_message(
+        self, tmp_path, default_digit_limit, limit_free_text
+    ):
+        client = OeisClient(cache_dir=tmp_path)
+        count = 10**5000
+        with pytest.raises(ValueError) as info:
+            client.cross_check(iter([1, 0, 1]), "A000166", count)
+        assert str(info.value) == (
+            f"local terms end at index 3, short of the count {limit_free_text(count)}"
+        )
 
     def test_count_goes_with_an_iterable_only(self, tmp_path):
         client = OeisClient(cache_dir=tmp_path)

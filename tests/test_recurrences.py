@@ -974,6 +974,14 @@ class TestExtend:
         with pytest.raises(NonIntegralStep):
             extend_sequence(rec, self.seed(1), 3)
 
+    def test_non_integral_step_past_the_digit_cap(self, default_digit_limit, limit_free_text):
+        far = 10**5000
+        seed = SequenceSlice(far, (self.term(1),))
+        with pytest.raises(NonIntegralStep) as info:
+            extend_sequence(Recurrence(((-1,), (2,))), seed, far + 1)
+        assert info.value.index == far
+        assert str(info.value) == f"inexact division while extending at n={limit_free_text(far)}"
+
     def test_too_few_initial_terms(self):
         with pytest.raises(ValueError):
             extend_sequence(DERANGEMENT_REC, self.seed(1), 5)
@@ -985,6 +993,37 @@ class TestExtend:
 
 class TestExtendDecimal(TestExtend):
     term = Decimal
+
+
+class TestErrorText:
+    """Every number in an error message renders at any size."""
+
+    @pytest.mark.parametrize("error, message", [
+        (HoldoutMismatch, "guessed recurrence fails at n={}, on a row that reaches a held-out term"),
+        (LeadingCoefficientZero,
+         "leading coefficient is zero at n={}; supply initial terms past this singular point"),
+        (NonIntegralStep, "inexact division while extending at n={}"),
+    ], ids=["HoldoutMismatch", "LeadingCoefficientZero", "NonIntegralStep"])
+    @pytest.mark.parametrize("index", [-3, 0, 10**5000], ids=["-3", "0", "10^5000"])
+    def test_index_errors(self, default_digit_limit, limit_free_text, error, message, index):
+        exc = error(index)
+        assert exc.index == index
+        assert str(exc) == message.format(limit_free_text(index))
+
+    def test_insufficient_data_past_the_digit_cap(self, default_digit_limit, limit_free_text):
+        exc = InsufficientData(10**4400, 3)
+        assert exc.min_terms == 10**4400
+        assert str(exc) == (
+            f"need at least {limit_free_text(10**4400)} terms to attempt a fit, got 3"
+        )
+
+    def test_not_found_names_caps_past_the_digit_cap(self, default_digit_limit, limit_free_text):
+        order, degree = 10**4400, 10**4400 + 1
+        assert str(RecurrenceNotFound(order, degree, True)) == (
+            f"no recurrence found with order <= {limit_free_text(order)} "
+            f"and coefficient degree <= {limit_free_text(degree)}; "
+            "the scan stopped short of the caps for lack of terms"
+        )
 
 
 class TestGuessAndExtend:

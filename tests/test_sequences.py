@@ -27,6 +27,31 @@ class TestSequenceSlice:
             s.term(-1)
 
 
+class TestNumbersPastTheDigitCap:
+    """Indices render through bigint.to_decimal, past the interpreter's cap."""
+
+    FAR = 10**5000
+
+    def test_term_outside_the_slice(self, default_digit_limit, limit_free_text):
+        with pytest.raises(IndexError) as info:
+            SequenceSlice(self.FAR, (1,)).term(0)
+        assert str(info.value) == (
+            f"index 0 outside [{limit_free_text(self.FAR)}, {limit_free_text(self.FAR + 1)})"
+        )
+
+    def test_index_that_breaks_the_run(self, default_digit_limit, limit_free_text):
+        with pytest.raises(SequenceParseError) as info:
+            parse_bfile(f"0 1\n{limit_free_text(self.FAR)} 2\n")
+        assert str(info.value) == (
+            f"line 2: index {limit_free_text(self.FAR)} breaks the run (expected 1)"
+        )
+
+    def test_bfile_lines_at_a_far_offset(self, default_digit_limit, limit_free_text):
+        text = format_bfile(SequenceSlice(self.FAR, (7, 8)))
+        assert text == f"{limit_free_text(self.FAR)} 7\n{limit_free_text(self.FAR + 1)} 8\n"
+        assert parse_bfile(text) == SequenceSlice(self.FAR, (7, 8))
+
+
 class TestBFileFormat:
     def test_format(self):
         s = SequenceSlice(0, (1, 0, 1, 2))
