@@ -7,8 +7,8 @@ arguments and cached data produces byte-identical output.  Exit codes:
   2  usage error (bad flags, malformed ids, unreadable term files,
      an unwritable --recurrence-out path, an unreadable or unwritable
      OEIS cache)
-  3  computation error (search exhausted, oracle bound exceeded, a malformed
-     or non-UTF-8 cached b-file, ...)
+  3  computation error (search exhausted, oracle bound exceeded, an input
+     too large to count, a malformed or non-UTF-8 cached b-file, ...)
   4  cross-check mismatch
 
 A reader that closes stdout early ends the console script by SIGPIPE,

@@ -34,6 +34,7 @@ multiplied over `polys.int_product`'s balanced tree.
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from math import comb, factorial, prod
 from typing import Iterable, Iterator, Sequence
@@ -105,6 +106,8 @@ def uniform_count(n: int, k: int) -> int:
     """
     if n < 0 or k < 0:
         raise ValueError("n and k must be nonnegative")
+    if k and n > sys.maxsize:
+        raise InstanceTooLarge(f"symbol count {to_decimal(n)} exceeds sys.maxsize ({sys.maxsize})")
     return _grouped_count({k: n} if n and k else {})
 
 

@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-Every number in a message is rendered by bigint.to_decimal, so a message
-prints at any size (see bigint).
+An error that names numbers keeps them as its args, exactly as raised,
+and renders them into its class's _message only when printed, each
+through bigint.to_decimal, so it prints at any size (see bigint); repr
+shows the values, and every error pickles and copies.  The other errors
+carry one message, formatted where they are raised.
 """
 from __future__ import annotations
 
@@ -22,54 +25,59 @@ class InternalInconsistency(MultiDerangeError):
 class InstanceTooLarge(MultiDerangeError):
     """A problem instance exceeds a bound: the configured bound of an oracle
     method, or sys.maxsize for a multiplicity, the largest whose factorial
-    can be formed."""
+    can be formed, and for the symbol count of a uniform instance."""
 
 
-class InsufficientData(MultiDerangeError):
-    """Too few sequence terms to attempt any recurrence fit."""
+class _Valued(MultiDerangeError):
+    """An error whose args are the numbers its _message names, in order."""
 
-    def __init__(self, min_terms: int, got: int):
-        super().__init__(
-            f"need at least {to_decimal(min_terms)} terms to attempt a fit, got {to_decimal(got)}"
-        )
-        self.min_terms = min_terms
+    _message: str
+
+    def __str__(self) -> str:
+        return self._message.format(*map(to_decimal, self.args))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(to_decimal, self.args))})"
 
 
-class RecurrenceNotFound(MultiDerangeError):
+class InsufficientData(_Valued):
+    """Too few sequence terms to attempt any recurrence fit; args are
+    (min_terms, got)."""
+
+    _message = "need at least {} terms to attempt a fit, got {}"
+    min_terms = property(lambda self: self.args[0])
+
+
+class RecurrenceNotFound(_Valued):
     """No candidate the terms could fit within the (order, degree) caps was
-    accepted; stopped_short says that some candidate within the caps had
-    too few terms to be fitted at all."""
+    accepted; args are (max_order, max_degree, stopped_short), the last
+    saying that some candidate within the caps had too few terms to be
+    fitted at all."""
 
-    def __init__(self, max_order: int, max_degree: int, stopped_short: bool):
-        super().__init__(
-            f"no recurrence found with order <= {to_decimal(max_order)} "
-            f"and coefficient degree <= {to_decimal(max_degree)}"
-            + ("; the scan stopped short of the caps for lack of terms" if stopped_short else "")
-        )
+    _message = "no recurrence found with order <= {} and coefficient degree <= {}"
+
+    def __str__(self) -> str:
+        clause = "; the scan stopped short of the caps for lack of terms"
+        return super().__str__() + (clause if self.args[2] else "")
 
 
-class _AtIndex(MultiDerangeError):
-    """An error at one sequence index, kept as .index; the subclass's
-    _message names it as {n}."""
+class _AtIndex(_Valued):
+    """An error at one sequence index, its one arg, also read as .index."""
 
-    def __init__(self, index: int):
-        super().__init__(self._message.format(n=to_decimal(index)))
-        self.index = index
+    index = property(lambda self: self.args[0])
 
 
 class HoldoutMismatch(_AtIndex):
     """A guessed recurrence failed on a row that reaches a term withheld
     from the guesser; index is the shift n of the first such row."""
 
-    _message = "guessed recurrence fails at n={n}, on a row that reaches a held-out term"
+    _message = "guessed recurrence fails at n={}, on a row that reaches a held-out term"
 
 
 class LeadingCoefficientZero(_AtIndex):
     """The leading recurrence coefficient vanishes at an index needed for extension."""
 
-    _message = (
-        "leading coefficient is zero at n={n}; supply initial terms past this singular point"
-    )
+    _message = "leading coefficient is zero at n={}; supply initial terms past this singular point"
 
 
 class NonIntegralStep(_AtIndex):
@@ -79,7 +87,7 @@ class NonIntegralStep(_AtIndex):
     recurrence or the initial terms are wrong.
     """
 
-    _message = "inexact division while extending at n={n}"
+    _message = "inexact division while extending at n={}"
 
 
 class SequenceParseError(MultiDerangeError):

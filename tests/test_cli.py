@@ -863,6 +863,14 @@ class TestTextUnderDefaultDigitLimit:
         assert last == limit_free_text(uniform_count(1000, 2))
 
 
+LIMITED_CLI_SCRIPT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from multiderange.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestNumbersPastTheDigitCap:
     """Numbers past the interpreter's int -> str cap in arguments, term files
     and cached b-files keep the exit-code contract: one error: line, and
@@ -970,6 +978,20 @@ class TestNumbersPastTheDigitCap:
         assert (code, out) == (3, "")
         assert err == (
             f"error: multiplicity 99999999999999999999 exceeds sys.maxsize ({sys.maxsize})\n"
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["table", "--fixed", "n", "--value", "100000000000000000000", "--upto", "1"],
+        ["oeis-check", "--id", "A000166", "--fixed", "n", "--value", "100000000000000000000",
+         "--count", "3"],
+    ], ids=["table", "oeis-check"])
+    def test_symbol_count_past_maxsize_is_a_computation_error(self, argv):
+        # under a 1 GB address-space limit, so a count that tries to form a
+        # number with ~10^20 bits ends in MemoryError, not in the host's memory
+        done = run_python("-c", LIMITED_CLI_SCRIPT, *argv)
+        assert (done.returncode, done.stdout) == (3, "")
+        assert done.stderr == (
+            f"error: symbol count 100000000000000000000 exceeds sys.maxsize ({sys.maxsize})\n"
         )
 
 

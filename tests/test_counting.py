@@ -193,6 +193,24 @@ def test_multiplicity_past_maxsize_is_too_large(default_digit_limit, limit_free_
     )
 
 
+@pytest.mark.parametrize("n", [sys.maxsize + 1, 10**20, 10**5000],
+                         ids=["maxsize+1", "10^20", "10^5000"])
+def test_symbol_count_past_maxsize_is_too_large(
+    monkeypatch, default_digit_limit, limit_free_text, n
+):
+    assert uniform_count(n, 0) == 1
+
+    def count(groups):  # the packed route's slot bound alone is 2^n
+        raise AssertionError("a count past sys.maxsize symbols was started")
+
+    monkeypatch.setattr(counting, "_grouped_count", count)
+    with pytest.raises(InstanceTooLarge) as info:
+        uniform_count(n, 1)
+    assert str(info.value) == (
+        f"symbol count {limit_free_text(n)} exceeds sys.maxsize ({sys.maxsize})"
+    )
+
+
 class TestTripleOracleAgreement:
     def test_total_up_to_seven(self):
         # the acceptance suite runs the full total <= 8 sweep

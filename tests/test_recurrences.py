@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import math
+import pickle
 import random
 from decimal import Decimal
 from pathlib import Path
@@ -10,14 +12,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import multiderange
 from multiderange import recurrences
 from multiderange.counting import classic_derangement, uniform_prefix
 from multiderange.errors import (
     HoldoutMismatch,
+    InstanceTooLarge,
     InsufficientData,
+    InternalInconsistency,
     LeadingCoefficientZero,
+    MultiDerangeError,
+    NetworkUnavailable,
     NonIntegralStep,
     RecurrenceNotFound,
+    SequenceParseError,
+    UnknownSequence,
 )
 from multiderange.recurrences import (
     DEFAULT_MAX_DEGREE,
@@ -995,8 +1004,26 @@ class TestExtendDecimal(TestExtend):
     term = Decimal
 
 
+def round_trips(exc):
+    """exc through pickle, copy.copy and copy.deepcopy."""
+    return [pickle.loads(pickle.dumps(exc)), copy.copy(exc), copy.deepcopy(exc)]
+
+
+# Errors whose one arg is a message formatted where they are raised.
+MESSAGE_ERRORS = (
+    MultiDerangeError, InternalInconsistency, InstanceTooLarge,
+    SequenceParseError, UnknownSequence, NetworkUnavailable,
+)
+# Every error class TestErrorText round-trips.
+ROUND_TRIPPED = {
+    HoldoutMismatch, LeadingCoefficientZero, NonIntegralStep, InsufficientData,
+    RecurrenceNotFound, *MESSAGE_ERRORS,
+}
+
+
 class TestErrorText:
-    """Every number in an error message renders at any size."""
+    """Every number in an error message renders at any size, and every error
+    keeps its type, args, text and attributes through pickle and copy."""
 
     @pytest.mark.parametrize("error, message", [
         (HoldoutMismatch, "guessed recurrence fails at n={}, on a row that reaches a held-out term"),
@@ -1009,6 +1036,11 @@ class TestErrorText:
         exc = error(index)
         assert exc.index == index
         assert str(exc) == message.format(limit_free_text(index))
+        assert repr(exc) == f"{error.__name__}({limit_free_text(index)})"
+        for kept in round_trips(exc):
+            assert type(kept) is error
+            assert (kept.args, kept.index) == ((index,), index)
+            assert (str(kept), repr(kept)) == (str(exc), repr(exc))
 
     def test_insufficient_data_past_the_digit_cap(self, default_digit_limit, limit_free_text):
         exc = InsufficientData(10**4400, 3)
@@ -1016,6 +1048,10 @@ class TestErrorText:
         assert str(exc) == (
             f"need at least {limit_free_text(10**4400)} terms to attempt a fit, got 3"
         )
+        for kept in round_trips(exc):
+            assert type(kept) is InsufficientData
+            assert (kept.args, kept.min_terms) == ((10**4400, 3), 10**4400)
+            assert str(kept) == str(exc)
 
     def test_not_found_names_caps_past_the_digit_cap(self, default_digit_limit, limit_free_text):
         order, degree = 10**4400, 10**4400 + 1
@@ -1024,6 +1060,30 @@ class TestErrorText:
             f"and coefficient degree <= {limit_free_text(degree)}; "
             "the scan stopped short of the caps for lack of terms"
         )
+        assert str(RecurrenceNotFound(order, degree, False)) == (
+            f"no recurrence found with order <= {limit_free_text(order)} "
+            f"and coefficient degree <= {limit_free_text(degree)}"
+        )
+        for stopped_short in (True, False):
+            exc = RecurrenceNotFound(order, degree, stopped_short)
+            for kept in round_trips(exc):
+                assert type(kept) is RecurrenceNotFound
+                assert kept.args == (order, degree, stopped_short)
+                assert str(kept) == str(exc)
+
+    @pytest.mark.parametrize("error", MESSAGE_ERRORS, ids=[e.__name__ for e in MESSAGE_ERRORS])
+    def test_message_errors(self, error):
+        for kept in round_trips(error("multiplicity 3 exceeds bound 2")):
+            assert type(kept) is error
+            assert kept.args == ("multiplicity 3 exceeds bound 2",)
+            assert str(kept) == "multiplicity 3 exceeds bound 2"
+
+    def test_every_exported_error_is_round_tripped(self):
+        exported = {
+            obj for obj in map(vars(multiderange).get, multiderange.__all__)
+            if isinstance(obj, type) and issubclass(obj, MultiDerangeError)
+        }
+        assert exported == ROUND_TRIPPED
 
 
 class TestGuessAndExtend:
@@ -1105,6 +1165,11 @@ class TestUniformTable:
         assert table.recurrence is None
         assert table.seed_length == 61
         assert table.terms.terms == tuple(classic_derangement(n) for n in range(61))
+        copied = copy.deepcopy(table)
+        assert copied.terms == table.terms
+        assert [(length, type(exc), exc.args, str(exc)) for length, exc in copied.failures] == [
+            (length, type(exc), exc.args, str(exc)) for length, exc in table.failures
+        ]
 
 
 def _seed_check_agrees_with_full_check(seed):
