@@ -14,8 +14,11 @@ The multiderange found on the path is the one measured; the guess inputs
 are read from this checkout's tests/data/guess_corpus.json.  The grid:
 
   - table, fixed k 0-9 and fixed n 0-6 up to 25, each with the default seed,
-    --seed 0, --seed 30, --direct-only and --no-fallback, in all three
-    formats; and table --fixed k --value 4 --upto 150;
+    --seed 0, --seed 30 and --no-fallback, in all three formats;
+  - table --fixed k --value 4 --upto 150, and fixed n 3 and fixed n 4 up to
+    100 in all three formats: each extends a guessed recurrence;
+  - table, fixed k 5 up to 100 in all three formats, where the guess fails
+    and the rest is computed directly, and with --no-fallback (exit 3);
   - guess on every input of the guess corpus, at its caps;
   - multi, prob, derange and deck in each of their formats;
   - oeis-check on the five bundled ids, at the k each one publishes and at
@@ -61,11 +64,15 @@ def grid(corpus: list[dict]) -> list[list[str]]:
     calls = []
     columns = [("k", value) for value in range(10)] + [("n", value) for value in range(7)]
     for fixed, value in columns:
-        for variant in ([], ["--seed", "0"], ["--seed", "30"], ["--direct-only"], ["--no-fallback"]):
+        for variant in ([], ["--seed", "0"], ["--seed", "30"], ["--no-fallback"]):
             for fmt in FORMATS:
                 calls.append(["table", "--fixed", fixed, "--value", str(value), "--upto", "25",
                               *variant, "--format", fmt])
     calls.append(["table", "--fixed", "k", "--value", "4", "--upto", "150"])
+    for fixed, value in (("n", 3), ("n", 4), ("k", 5)):
+        calls += [["table", "--fixed", fixed, "--value", str(value), "--upto", "100",
+                   "--format", fmt] for fmt in FORMATS]
+    calls.append(["table", "--fixed", "k", "--value", "5", "--upto", "100", "--no-fallback"])
     for i, case in enumerate(corpus):
         calls.append(["guess", "--terms-file", f"guess_{i:03d}.txt",
                       "--max-order", str(case["max_order"]),

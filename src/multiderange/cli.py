@@ -8,7 +8,8 @@ arguments and cached data produces byte-identical output.  Exit codes:
      an unwritable --recurrence-out path, an unreadable or unwritable
      OEIS cache)
   3  computation error (search exhausted, oracle bound exceeded, an input
-     too large to count, a malformed or non-UTF-8 cached b-file, ...)
+     too large to count, out of memory, a malformed or non-UTF-8 cached
+     b-file, ...)
   4  cross-check mismatch
 
 A reader that closes stdout early ends the console script by SIGPIPE,
@@ -145,9 +146,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    help="terms computed directly before the first guess; while guessing "
                    "fails, the seed doubles up to the size at which every candidate within "
                    f"--max-order and --max-degree has enough terms ({full_seed} at the defaults), "
-                   f"then the rest is computed directly (default {DEFAULT_SEED})")
-    p.add_argument("--direct-only", action="store_true",
-                   help="skip guessing; evaluate every term from the moment formula")
+                   f"then the rest is computed directly (default {DEFAULT_SEED}); a seed "
+                   "past --upto computes every term directly and guesses nothing")
     p.add_argument("--no-fallback", action="store_true",
                    help="fail at the first failed guess instead of growing the seed")
     p.add_argument("--recurrence-out", type=Path, metavar="PATH",
@@ -222,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
     except MultiDerangeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTATION
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_COMPUTATION
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:
@@ -282,8 +285,7 @@ def _cmd_prob(args) -> int:
 
 def _cmd_table(args) -> int:
     table = uniform_table(
-        f"fixed_{args.fixed}", args.value, args.upto,
-        args.upto + 1 if args.direct_only else args.seed,
+        f"fixed_{args.fixed}", args.value, args.upto, args.seed,
         max_order=args.max_order, max_degree=args.max_degree,
         fallback=not args.no_fallback,
         number=Decimal,  # extended terms stay Decimal through to the text: see extend_sequence

@@ -8,11 +8,11 @@ cached artifacts stay human-auditable and every later run is reproducible
 without a network.
 
 A cross-check fetches the published terms before it looks at the local
-ones.  Local terms may come as a SequenceSlice or as an iterator of terms
-from index 0 with a count; either way only the overlap with the published
-range is compared, an iterator is drawn no further than that overlap or the
-first mismatch, and an offline or not-found verdict draws nothing.  So a
-long --count costs only the terms the published b-file has.
+ones, an iterable of `count` terms from index `offset`.  Only the overlap
+with the published range is compared, the terms are drawn no further than
+that overlap or the first mismatch, and an offline or not-found verdict
+draws nothing.  So a long --count costs only the terms the published b-file
+has.
 
 A client takes a cache directory, an online switch and a transport: a
 callable from the b-file URL to its bytes (default: urllib, 10 s timeout).
@@ -105,23 +105,15 @@ class OeisClient:
         return slice_
 
     def cross_check(
-        self, local: SequenceSlice | Iterable[int], sequence_id: str, count: int | None = None
+        self, terms: Iterable[int], sequence_id: str, count: int, *, offset: int = 0
     ) -> OeisReport:
         """Compare local terms against published terms over their overlap.
 
-        `local` is a SequenceSlice, or an iterable whose first `count` items
-        are the local terms from index 0.  The published terms are fetched
-        first; local terms are then drawn in order, only up to the end of
-        the overlap, and none after the first mismatch.
+        The first `count` items of `terms` are the local terms from index
+        `offset`.  The published terms are fetched first; local terms are
+        then drawn in order, only up to the end of the overlap, and none
+        after the first mismatch.
         """
-        if isinstance(local, SequenceSlice):
-            if count is not None:
-                raise TypeError("count applies only to an iterable of terms")
-            offset, count, terms = local.offset, len(local), local.terms
-        elif count is None:
-            raise TypeError("an iterable of terms needs a count")
-        else:
-            offset, terms = 0, local
         if count < 1:
             raise ValueError("local terms must be nonempty")
         try:

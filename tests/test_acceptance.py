@@ -171,7 +171,7 @@ def test_c11_oeis_fixtures(tmp_path):
             0, tuple(uniform_count(n, k) if k > 1 else classic_derangement(n)
                      for n in range(count))
         )
-        report = client.cross_check(local, sequence_id)
+        report = client.cross_check(local.terms, sequence_id, len(local))
         assert report.verdict == "match", (sequence_id, report)
         assert report.compared == expected_overlap, (sequence_id, report)
 

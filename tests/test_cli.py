@@ -233,7 +233,7 @@ class TestTable:
     def test_direct_only_agrees_with_guessing(self, capsys):
         direct = run_cli(
             capsys, "table", "--fixed", "k", "--value", "2", "--upto", "60",
-            "--seed", "40", "--direct-only",
+            "--seed", "61",
         )[1]
         guessed = run_cli(
             capsys, "table", "--fixed", "k", "--value", "2", "--upto", "60",
@@ -287,7 +287,7 @@ class TestTable:
         assert out.split() == [str(count(3, k)) for k in range(31)]
 
     @pytest.mark.parametrize("argv", [
-        ("--upto", "80", "--direct-only"),
+        ("--upto", "80", "--seed", "81"),
         ("--upto", "30", "--seed", "40"),
         ("--upto", "20", "--seed", "5", "--max-order", "1", "--max-degree", "1"),
     ], ids=["direct-only", "upto-below-seed", "seed-grows-into-table"])
@@ -330,7 +330,7 @@ class TestTable:
             "growing the seed to 120 terms"
         )
         assert json.loads(recurrence)["order"] == 6
-        assert out == run_cli(capsys, *argv, "--direct-only")[1]
+        assert out == run_cli(capsys, *argv, "--seed", "301")[1]
 
     def test_k6_grows_to_every_feasible_candidate(self, capsys, draws):
         code, out, err = run_cli(capsys, "table", "--fixed", "k", "--value", "6", "--upto", "250")
@@ -796,11 +796,11 @@ class TestStreamedTable:
         fixed=st.sampled_from(["k", "n"]),
         value=st.integers(min_value=0, max_value=6),
         upto=st.integers(min_value=0, max_value=40),
-        option=st.sampled_from([(), ("--seed", "0"), ("--direct-only",)]),
+        option=st.sampled_from([(), ("--seed", "0"), ("--seed", "41")]),  # 41: past every upto
         fmt=st.sampled_from(["plain", "bfile", "structured"]),
     )
     def test_same_bytes_as_the_one_shot_renderers(self, fixed, value, upto, option, fmt):
-        seed = {(): cli.DEFAULT_SEED, ("--seed", "0"): 0}.get(option, upto + 1)
+        seed = int(option[1]) if option else cli.DEFAULT_SEED
         table = uniform_table(
             f"fixed_{fixed}", value, upto, seed, max_order=DEFAULT_MAX_ORDER,
             max_degree=DEFAULT_MAX_DEGREE, fallback=True, number=Decimal,
@@ -995,6 +995,35 @@ class TestNumbersPastTheDigitCap:
         )
 
 
+class TestOutOfMemory:
+    """A computation that runs out of memory is a computation error: exit 3,
+    nothing on stdout and one error: line."""
+
+    def test_memory_error_is_a_computation_error(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "uniform_table", exhausted)
+        code, out, err = run_cli(capsys, "table", "--fixed", "k", "--value", "4", "--upto", "9")
+        assert (code, out, err) == (3, "", "error: out of memory\n")
+
+    def test_symbol_count_past_memory_is_a_computation_error(self):
+        # a 250 MB address-space limit on the child only; this path never
+        # imports numpy, whose import would need more
+        import resource
+
+        limit = 250 << 20
+        done = subprocess.run(
+            [sys.executable, "-m", "multiderange", "table", "--fixed", "n",
+             "--value", "1000000000000", "--upto", "1"],
+            capture_output=True, text=True, env=python_env(), timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert (done.returncode, done.stdout) == (3, "")
+        assert "Traceback" not in done.stderr
+        assert done.stderr == "error: out of memory\n"
+
+
 class TestSearchCapValidation:
     @pytest.mark.parametrize("flag, value", [("--max-order", "0"), ("--max-degree", "-1")])
     def test_guess_rejects_bad_cap(self, tmp_path, flag, value):
@@ -1058,7 +1087,7 @@ PARSES = [
     ("deck",), ("deck", "--form", "bfile"), ("deck", "--format", "structured"),
     ("prob", "3", "3"), ("prob", "--format", "structured", "2", "2"),
     ("prob", "--fo", "plain", "1"),
-    TABLE_K4, (*TABLE_K4, "--seed", "8", "--direct-only", "--format", "bfile"),
+    TABLE_K4, (*TABLE_K4, "--seed", "8", "--seed", "21", "--format", "bfile"),
     (*TABLE_K4, "--no-f", "--rec", "rec.json", "--max-o", "3", "--max-d", "2"),
     ("table", "--upto=0", "--value=-0", "--fixed=n", "--form", "structured"),
     ("guess", "--terms-file", "terms.txt"), ("guess", "--terms=t.txt", "--max-order", "3"),
@@ -1078,6 +1107,7 @@ EXITS = [
     TABLE_K4[:-2], ("table", "--fixed", "m", "--value", "1", "--upto", "3"),
     (*TABLE_K4, "--f", "k"), (*TABLE_K4, "--m", "3"), (*TABLE_K4, "--seed", "-1"),
     (*TABLE_K4, "--max-order", "0"), (*TABLE_K4, "extra", "--bogus=1"),
+    (*TABLE_K4, "--direct-only"),
     ("guess", "--terms-file"), ("guess", "--terms-file", "t", "--max-degree", "-1"),
     ("oeis-check", "--id", "X123", *OEIS_CHECK[3:]), (*OEIS_CHECK[:-1], "0"),
     OEIS_CHECK[:-2], (*OEIS_CHECK, "--format", "bfile"),
@@ -1199,7 +1229,7 @@ def _argvs(workdir):
         "prob": (multiplicities, {"--format": text_formats}),
         "table": (st.just([]), {
             "--fixed": FIXED, "--value": _int_token(0, 6), "--upto": _int_token(0, 40),
-            "--seed": _int_token(0, 40), "--direct-only": None, "--no-fallback": None,
+            "--seed": _int_token(0, 40), "--no-fallback": None,
             "--recurrence-out": under(RECURRENCE_OUTS), **caps, "--format": FORMATS,
         }),
         "guess": (st.just([]), {"--terms-file": under(TERMS_FILES), **caps}),
