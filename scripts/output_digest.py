@@ -19,6 +19,9 @@ are read from this checkout's tests/data/guess_corpus.json.  The grid:
     100 in all three formats: each extends a guessed recurrence;
   - table, fixed k 5 up to 100 in all three formats, where the guess fails
     and the rest is computed directly, and with --no-fallback (exit 3);
+  - table, fixed k 3 up to 100, and fixed k 4 up to 150 from a seed of 85,
+    in all three formats: fixed-k tables that guess by the full scan, one
+    below k = 4 and one with a seed short of the minimal-order shape;
   - guess on every input of the guess corpus, at its caps;
   - multi, prob, derange and deck in each of their formats;
   - oeis-check on the five bundled ids, at the k each one publishes and at
@@ -73,6 +76,10 @@ def grid(corpus: list[dict]) -> list[list[str]]:
         calls += [["table", "--fixed", fixed, "--value", str(value), "--upto", "100",
                    "--format", fmt] for fmt in FORMATS]
     calls.append(["table", "--fixed", "k", "--value", "5", "--upto", "100", "--no-fallback"])
+    calls += [["table", "--fixed", "k", "--value", "3", "--upto", "100", "--format", fmt]
+              for fmt in FORMATS]
+    calls += [["table", "--fixed", "k", "--value", "4", "--upto", "150", "--seed", "85",
+               "--format", fmt] for fmt in FORMATS]
     for i, case in enumerate(corpus):
         calls.append(["guess", "--terms-file", f"guess_{i:03d}.txt",
                       "--max-order", str(case["max_order"]),

@@ -153,7 +153,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--recurrence-out", type=Path, metavar="PATH",
                    help="write the guessed recurrence here instead of stderr, "
                    "or null when none was guessed")
-    _add_search_caps(p)
+    _add_search_caps(p, "fixed k >= 4 first fits the minimal order k+1, degree k(k+1)/2, "
+                     "when this cap, --max-order and --seed allow it")
     _add_format(p)
     p.set_defaults(run=_cmd_table)
 
@@ -183,9 +184,10 @@ def _add_format(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["plain", "bfile", "structured"], default="plain")
 
 
-def _add_search_caps(p: argparse.ArgumentParser) -> None:
+def _add_search_caps(p: argparse.ArgumentParser, degree_help: str | None = None) -> None:
     p.add_argument("--max-order", type=_int_at_least(1), default=DEFAULT_MAX_ORDER)
-    p.add_argument("--max-degree", type=_int_at_least(0), default=DEFAULT_MAX_DEGREE)
+    p.add_argument("--max-degree", type=_int_at_least(0), default=DEFAULT_MAX_DEGREE,
+                   help=degree_help)
 
 
 def _int_at_least(low: int):

@@ -329,7 +329,9 @@ class TestTable:
             "coefficient degree <= 12; the scan stopped short of the caps for lack of terms); "
             "growing the seed to 120 terms"
         )
-        assert json.loads(recurrence)["order"] == 6
+        # 120 terms fit the minimal-order shape (5, 10)
+        polys = json.loads(recurrence)["coeff_polys"]
+        assert (len(polys) - 1, max(map(len, polys)) - 1) == (5, 10)
         assert out == run_cli(capsys, *argv, "--seed", "301")[1]
 
     def test_k6_grows_to_every_feasible_candidate(self, capsys, draws):

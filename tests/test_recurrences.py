@@ -1172,6 +1172,64 @@ class TestUniformTable:
         ]
 
 
+def _table_k(k, seed_count, max_degree=DEFAULT_MAX_DEGREE):
+    """The int fixed-k table 20 terms past a seed of seed_count terms."""
+    return uniform_table(
+        "fixed_k", k, seed_count + 20, seed_count, max_order=DEFAULT_MAX_ORDER,
+        max_degree=max_degree, fallback=False, number=int,
+    )
+
+
+def _degree(rec):
+    return max(len(pj) for pj in rec.coeff_polys) - 1
+
+
+class TestMinimalOrderFit:
+    """A fixed-k table with k >= 4 fits the minimal-order shape
+    (k+1, k(k+1)/2) when the caps and the seed allow it, and otherwise the
+    scan's recurrence, as before."""
+
+    @pytest.mark.parametrize("k, seed_count, max_degree", [
+        (4, 110, DEFAULT_MAX_DEGREE), (4, 120, DEFAULT_MAX_DEGREE), (5, 140, 15),
+    ])
+    def test_the_minimal_shape_is_fitted(self, k, seed_count, max_degree):
+        table = _table_k(k, seed_count, max_degree)
+        shown = SequenceSlice(0, tuple(uniform_prefix("fixed_k", k, seed_count - GUESS_MARGIN)))
+        assert table.recurrence == guess_recurrence(shown, k + 1, k * (k + 1) // 2)
+        assert (table.recurrence.order, _degree(table.recurrence)) == (k + 1, k * (k + 1) // 2)
+        assert table.failures == ()
+        assert table.terms.terms == tuple(uniform_prefix("fixed_k", k, seed_count + 21))
+
+    def test_k3_keeps_the_scan(self):
+        table = _table_k(3, 60)
+        assert recurrence_to_json(table.recurrence) == FAMILY_GUESSES["fixed_k/3/60"]
+
+    def test_a_seed_short_of_the_shape_keeps_the_scan(self):
+        # the (5, 10) shape needs 81 shown terms, so 91 in the seed
+        table = _table_k(4, 85)
+        seed = SequenceSlice(0, tuple(uniform_prefix("fixed_k", 4, 85)))
+        assert table.recurrence == recurrences.guess_seed(
+            seed, DEFAULT_MAX_ORDER, DEFAULT_MAX_DEGREE
+        )
+        assert (table.recurrence.order, _degree(table.recurrence)) == (6, 7)
+
+    @pytest.mark.parametrize("minimal", [None, FACTORIAL_REC], ids=["no-fit", "held-out-fails"])
+    def test_the_scan_takes_over_when_the_shape_fails(self, monkeypatch, minimal):
+        real_fit, shapes = recurrences._fit, []
+
+        def fit(s, r, d):
+            shapes.append((r, d))
+            return minimal if (r, d) == (5, 10) else real_fit(s, r, d)
+
+        monkeypatch.setattr(recurrences, "_fit", fit)
+        table = _table_k(4, 110)
+        assert shapes[0] == (5, 10)
+        assert shapes[1:] == [(6, 7)]
+        assert recurrence_to_json(table.recurrence) == FAMILY_GUESSES["fixed_k/4/110"]
+        assert table.failures == ()
+        assert table.terms.terms == tuple(uniform_prefix("fixed_k", 4, 131))
+
+
 def _seed_check_agrees_with_full_check(seed):
     """guess_seed returns the guess exactly when the check of every row of
     the seed passes, and otherwise fails at that check's first failure."""
